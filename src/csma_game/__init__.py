@@ -33,21 +33,16 @@ from .game import (
     GridSpec,
     PayoffSurfaces,
     build_surfaces,
-    dsrc_payoff,
     rescale_age,
     rescale_age_per_opponent,
     wastage_cost,
-    wifi_payoff,
 )
 from .metrics import (
     InterUpdateMoments,
-    ResidualSlotPmf,
     aoi_closed_form,
     aoi_node,
     inter_update_moments,
-    inter_update_moments_closed_form,
     per_node_throughput,
-    residual_slot_pmf,
     throughput_closed_form,
 )
 from .model import (
@@ -58,10 +53,7 @@ from .model import (
     SlotLengths,
     StrategyPair,
     expected_slot_length,
-    idle_prob_excluding,
     joint_idle_prob,
-    success_prob_excluding,
-    success_prob_node,
     success_prob_total,
 )
 from .simulate import NoProgressError, SimConfig, SimResult, run_simulation
@@ -78,7 +70,6 @@ __all__ = [
     "NoProgressError",
     "PayoffSurfaces",
     "QuasiConcavityReport",
-    "ResidualSlotPmf",
     "SimConfig",
     "SimResult",
     "SingleNetworkOptimum",
@@ -93,27 +84,20 @@ __all__ = [
     "aoi_node",
     "best_response",
     "build_surfaces",
-    "dsrc_payoff",
     "enumerate_nash",
     "expected_slot_length",
-    "idle_prob_excluding",
     "inter_update_moments",
-    "inter_update_moments_closed_form",
     "joint_idle_prob",
     "per_node_throughput",
     "rescale_age",
     "rescale_age_per_opponent",
-    "residual_slot_pmf",
     "run_simulation",
     "single_network_optimum",
     "solve_stackelberg",
-    "success_prob_excluding",
-    "success_prob_node",
     "success_prob_total",
     "tau_prime_upper_bound",
     "throughput_closed_form",
     "verify_quasiconcavity",
     "wastage_cost",
-    "wifi_payoff",
     "wifi_payoff_derivative_terms",
 ]

@@ -8,7 +8,9 @@ the derivative along one strategy axis and checks the sign pattern implied
 by a unimodal payoff: non-positive then non-negative, with at most one
 sign change. ``tau_prime_upper_bound`` and ``alpha2_root`` locate two
 landmarks of that pattern: where the curvature term's denominator reaches
-one, and where the update-rate term changes sign.
+one, and where the update-rate term changes sign. All terms combine the
+per-axis contention factors of :mod:`~csma_game.model`; the cost terms of
+both players share one formula.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GridSpec
-from .model import DSRC, WIFI, NetworkConfig, StrategyPair
+from .model import DSRC, NetworkConfig, StrategyPair, _Axis, _require_player
 
 # Scan points closer than this to 0 or 1 are dropped: the 1/tau^2 term
 # swamps double precision in the last few ulps of the interval.
@@ -73,50 +75,41 @@ class QuasiConcavityReport:
     alpha2_root: float | None
 
 
-def _age_derivative_parts(tau_d, config: NetworkConfig, tau_w):
-    beta = config.beta
-    n_d = config.n_dsrc
-    q_w = (1.0 - tau_w) ** config.n_wifi
-    q_w_prime = config.n_wifi * tau_w * (1.0 - tau_w) ** (config.n_wifi - 1)
-    one = 1.0 - tau_d
-    q_d = one**n_d
-    denom = 1.0 + beta - q_d * q_w
-    alpha1 = 0.5 * beta * (1.0 + beta) * q_w * n_d * one ** (n_d - 1) / denom**2
-    alpha2 = (1.0 + (1.0 + beta) * (n_d * tau_d - 1.0) / (q_w * q_d)) / tau_d**2
+def _cost_slope_parts(own, opp, config: NetworkConfig):
+    """Collision and idle terms of d(cost)/d(own tau), plus the opponent's
+    one-sender probability n tau (1-tau)^(n-1) that the collision term uses."""
+    opp_prime = opp.n * opp.tau * opp.r1
     alpha_col = config.w_col * (
-        q_w * n_d * (n_d - 1) * tau_d * one ** (n_d - 2) + q_w_prime * n_d * one ** (n_d - 1)
+        opp.q * own.n * (own.n - 1) * own.tau * own.r2 + opp_prime * own.n * own.r1
     )
-    alpha_idle = config.w_idle * q_w * n_d * one ** (n_d - 1)
-    return alpha1, alpha2, alpha_col, alpha_idle, q_w, q_w_prime
+    alpha_idle = config.w_idle * opp.q * own.n * own.r1
+    return alpha_col, alpha_idle, opp_prime
 
 
-def _wifi_derivative_parts(tau_w, config: NetworkConfig, tau_d):
+def _age_derivative_parts(tau_d, tau_w, config: NetworkConfig):
     beta = config.beta
-    n_w = config.n_wifi
-    q_d = (1.0 - tau_d) ** config.n_dsrc
-    q_d_prime = config.n_dsrc * tau_d * (1.0 - tau_d) ** (config.n_dsrc - 1)
-    one = 1.0 - tau_w
-    q_w = one**n_w
-    denom = 1.0 - q_d * q_w + beta
-    alpha = (
-        q_d
-        * (1.0 + beta)
-        * one ** (n_w - 2)
-        * (q_d * q_w + (1.0 + beta) * (tau_w * n_w - 1.0))
-        / denom**2
-    )
-    alpha_col = config.w_col * (
-        q_d * n_w * (n_w - 1) * tau_w * one ** (n_w - 2) + q_d_prime * n_w * one ** (n_w - 1)
-    )
-    alpha_idle = config.w_idle * q_d * n_w * one ** (n_w - 1)
-    return alpha, alpha_col, alpha_idle, q_d, q_d_prime
+    d, w = _Axis(tau_d, config.n_dsrc), _Axis(tau_w, config.n_wifi)
+    denom = 1.0 + beta - d.q * w.q
+    alpha1 = 0.5 * beta * (1.0 + beta) * w.q * d.n * d.r1 / denom**2
+    alpha2 = (1.0 + (1.0 + beta) * (d.n * d.tau - 1.0) / (w.q * d.q)) / d.tau**2
+    alpha_col, alpha_idle, q_w_prime = _cost_slope_parts(d, w, config)
+    return alpha1, alpha2, alpha_col, alpha_idle, w.q, q_w_prime
+
+
+def _wifi_derivative_parts(tau_d, tau_w, config: NetworkConfig):
+    beta = config.beta
+    d, w = _Axis(tau_d, config.n_dsrc), _Axis(tau_w, config.n_wifi)
+    denom = 1.0 - d.q * w.q + beta
+    alpha = d.q * (1.0 + beta) * w.r2 * (d.q * w.q + (1.0 + beta) * (w.tau * w.n - 1.0)) / denom**2
+    alpha_col, alpha_idle, q_d_prime = _cost_slope_parts(w, d, config)
+    return alpha, alpha_col, alpha_idle, d.q, q_d_prime
 
 
 def age_payoff_derivative_terms(pair: StrategyPair, config: NetworkConfig) -> AgeDerivativeTerms:
     """Term decomposition of the age player's negated payoff derivative."""
     if not 0.0 < pair.tau_d < 1.0:
         raise ValueError("tau_d must be interior to (0, 1)")
-    a1, a2, a_col, a_idle, q_w, q_w_prime = _age_derivative_parts(pair.tau_d, config, pair.tau_w)
+    a1, a2, a_col, a_idle, q_w, q_w_prime = _age_derivative_parts(pair.tau_d, pair.tau_w, config)
     return AgeDerivativeTerms(
         alpha1=float(a1),
         alpha2=float(a2),
@@ -132,7 +125,7 @@ def wifi_payoff_derivative_terms(pair: StrategyPair, config: NetworkConfig) -> T
     """Term decomposition of the throughput player's negated payoff derivative."""
     if not 0.0 < pair.tau_w < 1.0:
         raise ValueError("tau_w must be interior to (0, 1)")
-    a, a_col, a_idle, q_d, q_d_prime = _wifi_derivative_parts(pair.tau_w, config, pair.tau_d)
+    a, a_col, a_idle, q_d, q_d_prime = _wifi_derivative_parts(pair.tau_d, pair.tau_w, config)
     return ThrDerivativeTerms(
         alpha=float(a),
         alpha_col=float(a_col),
@@ -143,18 +136,13 @@ def wifi_payoff_derivative_terms(pair: StrategyPair, config: NetworkConfig) -> T
     )
 
 
-def alpha1_rewritten(pair: StrategyPair, config: NetworkConfig) -> float:
-    """alpha1 with the beta factors folded into the denominator.
-
-    Algebraically identical to ``AgeDerivativeTerms.alpha1``; exists so the
-    rewrite can be cross-checked numerically.
-    """
-    beta = config.beta
-    n_d = config.n_dsrc
-    q_w = (1.0 - pair.tau_w) ** config.n_wifi
-    one = 1.0 - pair.tau_d
-    denom = (2.0 * (1.0 + beta) / beta) * (1.0 - one**n_d * q_w / (1.0 + beta)) ** 2
-    return q_w * n_d * one ** (n_d - 1) / denom
+def _check_landmark_args(n_d: int, beta: float, q_w: float) -> None:
+    if n_d < 1:
+        raise ValueError("n_d must be at least 1")
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie in (0, 1)")
+    if not 0.0 < q_w <= 1.0:
+        raise ValueError("q_w must lie in (0, 1]")
 
 
 def tau_prime_upper_bound(beta: float, n_d: int, q_w: float = 1.0) -> float | None:
@@ -164,12 +152,7 @@ def tau_prime_upper_bound(beta: float, n_d: int, q_w: float = 1.0) -> float | No
     concrete ``q_w < 1`` gives the exact landmark for that opponent. Returns
     None when no such point exists in (0, 1), which is the common case.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    if not 0.0 < q_w <= 1.0:
-        raise ValueError("q_w must lie in (0, 1]")
-    if n_d < 1:
-        raise ValueError("n_d must be at least 1")
+    _check_landmark_args(n_d, beta, q_w)
     base = (1.0 + beta - math.sqrt(beta * (1.0 + beta) / 2.0)) / q_w
     if base >= 1.0:
         return None
@@ -183,17 +166,11 @@ def alpha2_root(n_d: int, beta: float, q_w: float = 1.0, tol: float = 1e-12) -> 
     1 - q_w/(1+beta) > 0 and the right end is non-positive. Plain bisection
     to ``tol`` interval width.
     """
-    if n_d < 1:
-        raise ValueError("n_d must be at least 1")
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    if not 0.0 < q_w <= 1.0:
-        raise ValueError("q_w must lie in (0, 1]")
-
+    _check_landmark_args(n_d, beta, q_w)
     scale = q_w / (1.0 + beta)
 
     def f(t: float) -> float:
-        return 1.0 - n_d * t - scale * (1.0 - t) ** n_d
+        return 1.0 - n_d * t - scale * _Axis(t, n_d).q
 
     lo, hi = 0.0, 1.0 / n_d
     while hi - lo > tol:
@@ -233,20 +210,19 @@ def verify_quasiconcavity(
     scanned derivative non-positive then non-negative, so at most one sign
     change is allowed and it must run negative to positive.
     """
-    if player not in (DSRC, WIFI):
-        raise ValueError(f"player must be {DSRC!r} or {WIFI!r}, got {player!r}")
+    _require_player(player)
     if not 0.0 <= fixed_opponent < 1.0:
         raise ValueError("fixed opponent strategy must lie in [0, 1)")
     scan = scan if scan is not None else GridSpec(lo=0.001, hi=0.999, step=0.001)
     pts = scan.points()
     pts = pts[(pts >= _EDGE_MARGIN) & (pts <= 1.0 - _EDGE_MARGIN)]
     if player == DSRC:
-        a1, a2, a_col, a_idle, q_w, _ = _age_derivative_parts(pts, config, fixed_opponent)
+        a1, a2, a_col, a_idle, q_w, _ = _age_derivative_parts(pts, fixed_opponent, config)
         totals = a1 + a2 + a_col - a_idle
         bound = tau_prime_upper_bound(config.beta, config.n_dsrc)
         root = alpha2_root(config.n_dsrc, config.beta, q_w=float(q_w))
     else:
-        a, a_col, a_idle, _, _ = _wifi_derivative_parts(pts, config, fixed_opponent)
+        a, a_col, a_idle, _, _ = _wifi_derivative_parts(fixed_opponent, pts, config)
         totals = a + a_col - a_idle
         bound = None
         root = None

@@ -34,7 +34,7 @@ from .metrics import (
     inter_update_moments,
     per_node_throughput,
 )
-from .model import DSRC, WIFI, AccessVector, NetworkConfig, StrategyPair
+from .model import DSRC, WIFI, AccessVector, NetworkConfig, StrategyPair, _Axis
 from .simulate import NoProgressError, SimConfig, run_simulation
 
 
@@ -116,14 +116,6 @@ def _as_float(field, raw):
         raise ConfigError(f"invalid value for {field}: {raw!r} (expected a number)")
 
 
-def _as_int_list(field, raw):
-    return tuple(_as_int(field, part) for part in str(raw).split(","))
-
-
-def _as_float_list(field, raw):
-    return tuple(_as_float(field, part) for part in str(raw).split(","))
-
-
 def _as_choice(field, raw, choices):
     if raw not in choices:
         raise ConfigError(f"invalid value for {field}: {raw!r} (expected one of {', '.join(choices)})")
@@ -182,31 +174,24 @@ class _Options:
             value = _DEFAULTS[field]
         return value
 
+    # An option whose default is None stays None when it is not given.
+
     def int(self, field):
-        return _as_int(field, self.raw(field))
-
-    def float(self, field):
-        return _as_float(field, self.raw(field))
-
-    def opt_float(self, field):
-        raw = self.raw(field)
-        return None if raw is None else _as_float(field, raw)
-
-    def opt_int(self, field):
         raw = self.raw(field)
         return None if raw is None else _as_int(field, raw)
 
+    def float(self, field):
+        raw = self.raw(field)
+        return None if raw is None else _as_float(field, raw)
+
     def int_list(self, field):
-        return _as_int_list(field, self.raw(field))
+        return tuple(_as_int(field, part) for part in str(self.raw(field)).split(","))
 
     def float_list(self, field):
-        return _as_float_list(field, self.raw(field))
+        return tuple(_as_float(field, part) for part in str(self.raw(field)).split(","))
 
     def choice(self, field, choices):
         return _as_choice(field, self.raw(field), choices)
-
-    def str_or_none(self, field):
-        return self.raw(field)
 
 
 def _grid(opt: _Options) -> GridSpec:
@@ -228,31 +213,25 @@ def _rescale_fn(opt: _Options):
     return rescale_age if name == "range" else rescale_age_per_opponent
 
 
-def _nash_rows(config: NetworkConfig, grid: GridSpec, eps_tie: float, rescale, extra: dict) -> list[dict]:
+# Each handler returns a header and rows of values in header order.
+
+_NASH_COLUMNS = ["tau_d", "tau_w", "age", "throughput", "u_dsrc", "u_wifi"]
+
+
+def _nash_rows(config: NetworkConfig, grid: GridSpec, eps_tie: float, rescale, prefix: tuple) -> list[tuple]:
     surfaces = build_surfaces(config, grid, rescale=rescale)
-    rows = []
-    for res in enumerate_nash(surfaces, eps_tie=eps_tie):
-        rows.append(
-            {
-                **extra,
-                "tau_d": res.pair.tau_d,
-                "tau_w": res.pair.tau_w,
-                "age": res.age,
-                "throughput": res.throughput,
-                "u_dsrc": res.payoff_dsrc,
-                "u_wifi": res.payoff_wifi,
-            }
-        )
-    return rows
+    return [
+        prefix + (r.pair.tau_d, r.pair.tau_w, r.age, r.throughput, r.payoff_dsrc, r.payoff_wifi)
+        for r in enumerate_nash(surfaces, eps_tie=eps_tie)
+    ]
 
 
 def _run_nash(opt: _Options):
     config = _network(opt, opt.int("nd"), opt.int("nw"))
     rows = _nash_rows(
-        config, _grid(opt), opt.float("eps_tie"), _rescale_fn(opt),
-        {"nd": config.n_dsrc, "nw": config.n_wifi},
+        config, _grid(opt), opt.float("eps_tie"), _rescale_fn(opt), (config.n_dsrc, config.n_wifi)
     )
-    return ["nd", "nw", "tau_d", "tau_w", "age", "throughput", "u_dsrc", "u_wifi"], rows
+    return ["nd", "nw"] + _NASH_COLUMNS, rows
 
 
 def _run_sweep(opt: _Options):
@@ -269,9 +248,8 @@ def _run_sweep(opt: _Options):
     cells = sorted(product(nd_list, nw_list, zip(w_idle_list, w_col_list)))
     for nd, nw, (w_idle, w_col) in cells:
         config = _network(opt, nd, nw, w_idle=w_idle, w_col=w_col)
-        extra = {"nd": nd, "nw": nw, "w_idle": w_idle, "w_col": w_col}
-        rows.extend(_nash_rows(config, grid, eps, rescale, extra))
-    return ["nd", "nw", "w_idle", "w_col", "tau_d", "tau_w", "age", "throughput", "u_dsrc", "u_wifi"], rows
+        rows.extend(_nash_rows(config, grid, eps, rescale, (nd, nw, w_idle, w_col)))
+    return ["nd", "nw", "w_idle", "w_col"] + _NASH_COLUMNS, rows
 
 
 def _run_stackelberg(opt: _Options):
@@ -285,18 +263,8 @@ def _run_stackelberg(opt: _Options):
         for nd, nw in sorted(product(opt.int_list("nd"), opt.int_list("nw"))):
             surfaces = build_surfaces(_network(opt, nd, nw), grid, rescale=rescale)
             res = solve_stackelberg(lead, surfaces, eps_tie=eps)
-            rows.append(
-                {
-                    "leader": lead,
-                    "nd": nd,
-                    "nw": nw,
-                    "tau_d": res.pair.tau_d,
-                    "tau_w": res.pair.tau_w,
-                    "age": res.age,
-                    "throughput": res.throughput,
-                    "leader_payoff": res.leader_guaranteed_payoff,
-                }
-            )
+            rows.append((lead, nd, nw, res.pair.tau_d, res.pair.tau_w, res.age, res.throughput,
+                         res.leader_guaranteed_payoff))
     return ["leader", "nd", "nw", "tau_d", "tau_w", "age", "throughput", "leader_payoff"], rows
 
 
@@ -309,13 +277,13 @@ def _run_optimum(opt: _Options):
     for k in kinds:
         for n in sorted(opt.int_list("n")):
             res = single_network_optimum(k, n, beta, grid=grid)
-            rows.append({"kind": k, "n": n, "tau_star": res.tau_star, "value": res.value})
+            rows.append((k, n, res.tau_star, res.value))
     return ["kind", "n", "tau_star", "value"], rows
 
 
 def _run_metrics(opt: _Options):
-    tau_d = opt.opt_float("tau_d")
-    tau_w = opt.opt_float("tau_w")
+    tau_d = opt.float("tau_d")
+    tau_w = opt.float("tau_w")
     if (tau_d is None) == (tau_w is None):
         raise ConfigError("metrics needs exactly one fixed strategy: give --tau-d or --tau-w")
     config = _network(opt, opt.int("nd"), opt.int("nw"))
@@ -324,12 +292,12 @@ def _run_metrics(opt: _Options):
         td, tw = pts, np.full_like(pts, tau_w)
     else:
         td, tw = np.full_like(pts, tau_d), pts
-    rows = []
-    for d, w in zip(td, tw):
-        age = float(_aoi_expr(d, w, config)) if config.n_dsrc >= 1 and d > 0.0 else None
-        thr = float(_throughput_expr(d, w, config)) if config.n_wifi >= 1 else 0.0
-        rows.append({"tau_d": float(d), "tau_w": float(w), "age": age, "throughput": thr})
-    return ["tau_d", "tau_w", "age", "throughput"], rows
+    d, w = _Axis(td, config.n_dsrc), _Axis(tw, config.n_wifi)
+    # A missing age is NaN, which renders as an empty cell.
+    has_age = config.n_dsrc >= 1 and bool((td > 0.0).all())
+    ages = _aoi_expr(d, w, config.beta) if has_age else np.full_like(pts, np.nan)
+    thrs = _throughput_expr(d, w, config.beta) if config.n_wifi >= 1 else np.zeros_like(pts)
+    return ["tau_d", "tau_w", "age", "throughput"], list(zip(td, tw, ages, thrs))
 
 
 def _run_verify(opt: _Options):
@@ -343,21 +311,8 @@ def _run_verify(opt: _Options):
             config = _network(opt, nd, nw)
             for tau in opt.float_list("tau_opp"):
                 rep = verify_quasiconcavity(ply, config, tau, scan=scan)
-                rows.append(
-                    {
-                        "player": ply,
-                        "nd": nd,
-                        "nw": nw,
-                        "beta": config.beta,
-                        "w_idle": config.w_idle,
-                        "w_col": config.w_col,
-                        "tau_opponent": tau,
-                        "sign_changes": rep.sign_change_count,
-                        "pattern_ok": rep.sign_pattern_ok,
-                        "tau_prime_bound": rep.tau_prime_bound,
-                        "alpha2_root": rep.alpha2_root,
-                    }
-                )
+                rows.append((ply, nd, nw, config.beta, config.w_idle, config.w_col, tau,
+                             rep.sign_change_count, rep.sign_pattern_ok, rep.tau_prime_bound, rep.alpha2_root))
     header = ["player", "nd", "nw", "beta", "w_idle", "w_col", "tau_opponent",
               "sign_changes", "pattern_ok", "tau_prime_bound", "alpha2_root"]
     return header, rows
@@ -365,56 +320,30 @@ def _run_verify(opt: _Options):
 
 def _run_simulate(opt: _Options):
     config = _network(opt, opt.int("nd"), opt.int("nw"))
-    pair = StrategyPair(tau_d=opt.opt_float("tau_d") or 0.0, tau_w=opt.opt_float("tau_w") or 0.0)
+    pair = StrategyPair(tau_d=opt.float("tau_d") or 0.0, tau_w=opt.float("tau_w") or 0.0)
     vector = AccessVector.homogeneous(config, pair)
     sim = SimConfig(
         horizon_slots=opt.int("horizon"),
         seed=opt.int("seed"),
-        warmup_slots=opt.opt_int("warmup"),
+        warmup_slots=opt.int("warmup"),
     )
-    result = run_simulation(vector, config.slot_lengths(), sim)
-    fractions = result.slot_fractions()
     lengths = config.slot_lengths()
+    res = run_simulation(vector, lengths, sim)
+    fractions = tuple(res.slot_fractions())
     rows = []
     for i, (tau, tag) in enumerate(zip(vector.taus, vector.tags)):
+        age = ez = ez2 = None
         if tau > 0.0:
             moments = inter_update_moments(vector, lengths, i)
-            analytic = {
-                "age_analytic": aoi_node(vector, lengths, i),
-                "throughput_analytic": per_node_throughput(vector, lengths, i),
-                "ez_analytic": moments.first,
-                "ez2_analytic": moments.second,
-            }
-        else:
-            analytic = {
-                "age_analytic": None,
-                "throughput_analytic": per_node_throughput(vector, lengths, i),
-                "ez_analytic": None,
-                "ez2_analytic": None,
-            }
-        rows.append(
-            {
-                "node": i,
-                "network": tag,
-                "tau": tau,
-                "age_sim": float(result.age[i]),
-                "age_se": float(result.age_se[i]),
-                "age_analytic": analytic["age_analytic"],
-                "throughput_sim": float(result.throughput[i]),
-                "throughput_se": float(result.throughput_se[i]),
-                "throughput_analytic": analytic["throughput_analytic"],
-                "ez_sim": float(result.inter_update_mean[i]),
-                "ez_se": float(result.inter_update_mean_se[i]),
-                "ez_analytic": analytic["ez_analytic"],
-                "ez2_sim": float(result.inter_update_sq_mean[i]),
-                "ez2_se": float(result.inter_update_sq_mean_se[i]),
-                "ez2_analytic": analytic["ez2_analytic"],
-                "updates": int(result.update_counts[i]),
-                "frac_idle": float(fractions[0]),
-                "frac_success": float(fractions[1]),
-                "frac_collision": float(fractions[2]),
-            }
-        )
+            age, ez, ez2 = aoi_node(vector, lengths, i), moments.first, moments.second
+        rows.append((
+            i, tag, tau,
+            res.age[i], res.age_se[i], age,
+            res.throughput[i], res.throughput_se[i], per_node_throughput(vector, lengths, i),
+            res.inter_update_mean[i], res.inter_update_mean_se[i], ez,
+            res.inter_update_sq_mean[i], res.inter_update_sq_mean_se[i], ez2,
+            res.update_counts[i],
+        ) + fractions)
     header = ["node", "network", "tau",
               "age_sim", "age_se", "age_analytic",
               "throughput_sim", "throughput_se", "throughput_analytic",
@@ -459,13 +388,11 @@ def _json_cell(value):
     return value
 
 
-def _render(header: list[str], rows: list[dict], fmt: str) -> str:
+def _render(header: list[str], rows: list[tuple], fmt: str) -> str:
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row[k]) for k in header))
+        lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
         return "\n".join(lines) + "\n"
-    records = [{k: _json_cell(row[k]) for k in header} for row in rows]
+    records = [dict(zip(header, map(_json_cell, row))) for row in rows]
     return json.dumps(records, indent=2) + "\n"
 
 
@@ -474,16 +401,13 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         opt = _Options(args)
         fmt = opt.choice("format", ("csv", "json"))
-        out = opt.str_or_none("out")
+        out = opt.raw("out")
         header, rows = _HANDLERS[args.command](opt)
         text = _render(header, rows, fmt)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NoProgressError as exc:
+    except (NoProgressError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

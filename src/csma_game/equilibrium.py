@@ -18,18 +18,14 @@ tolerance meaningless across configurations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .game import GridSpec, PayoffSurfaces
 from .metrics import _aoi_expr, _throughput_expr
-from .model import DSRC, WIFI, NetworkConfig, StrategyPair
-
-
-def _require_player(tag: str) -> None:
-    if tag not in (DSRC, WIFI):
-        raise ValueError(f"player must be {DSRC!r} or {WIFI!r}, got {tag!r}")
+from .model import DSRC, WIFI, NetworkConfig, StrategyPair, _Axis, _require_player
 
 
 @dataclass(frozen=True)
@@ -173,23 +169,25 @@ def single_network_optimum(
 
     Coarse scan over the grid, then repeated local subdivision around the
     incumbent down to ``refine`` resolution, never leaving [grid.lo, grid.hi]
-    (optima can sit clamped on the boundary).
+    (optima can sit clamped on the boundary). Raises FloatingPointError when
+    the optimum value is not finite, as when (1-tau)^n underflows for a very
+    large n.
     """
     _require_player(kind)
     if n < 1:
         raise ValueError("the lone network needs at least one node")
     grid = grid if grid is not None else GridSpec()
+    NetworkConfig(n_dsrc=n, n_wifi=0, beta=beta)  # rejects beta outside (0, 1)
+    absent = _Axis(0.0, 0)
     if kind == DSRC:
-        config = NetworkConfig(n_dsrc=n, n_wifi=0, beta=beta)
 
         def loss(taus):
-            return _aoi_expr(taus, 0.0, config)
+            return _aoi_expr(_Axis(taus, n), absent, beta)
 
     else:
-        config = NetworkConfig(n_dsrc=0, n_wifi=n, beta=beta)
 
         def loss(taus):
-            return -_throughput_expr(0.0, taus, config)
+            return -_throughput_expr(absent, _Axis(taus, n), beta)
 
     pts = grid.points()
     k = int(np.argmin(loss(pts)))
@@ -207,4 +205,9 @@ def single_network_optimum(
         hi = min(grid.hi, float(xs[min(k + 1, len(xs) - 1)]))
     if kind == WIFI:
         value = -value
+    if not math.isfinite(value):
+        raise FloatingPointError(
+            f"lone {kind} network with n={n}: the optimum value is {value}, "
+            "because (1-tau)^n underflows on the grid"
+        )
     return SingleNetworkOptimum(kind=kind, n=n, tau_star=tau_star, value=value)

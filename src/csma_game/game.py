@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .metrics import _aoi_expr, _throughput_expr
-from .model import NetworkConfig, StrategyPair
+from .model import DSRC, NetworkConfig, StrategyPair, _Axis, _require_player
 
 RescaleFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -53,18 +53,17 @@ class GridSpec:
         return k
 
 
-def _cost_expr(tau_d, tau_w, config: NetworkConfig):
-    q_d = (1.0 - tau_d) ** config.n_dsrc
-    q_w = (1.0 - tau_w) ** config.n_wifi
-    p_idle = q_d * q_w
-    succ_d = config.n_dsrc * tau_d * (1.0 - tau_d) ** (config.n_dsrc - 1) * q_w
-    succ_w = config.n_wifi * tau_w * (1.0 - tau_w) ** (config.n_wifi - 1) * q_d
+def _cost_expr(d, w, config: NetworkConfig):
+    p_idle = d.q * w.q
+    succ_d = d.n * d.tau * d.r1 * w.q
+    succ_w = w.n * w.tau * w.r1 * d.q
     return config.w_idle * p_idle + config.w_col * (1.0 - p_idle - succ_d - succ_w)
 
 
 def wastage_cost(pair: StrategyPair, config: NetworkConfig) -> float:
     """Idle plus collision penalty charged identically to both players."""
-    return float(_cost_expr(pair.tau_d, pair.tau_w, config))
+    d, w = _Axis(pair.tau_d, config.n_dsrc), _Axis(pair.tau_w, config.n_wifi)
+    return float(_cost_expr(d, w, config))
 
 
 def rescale_age(age: np.ndarray, throughput: np.ndarray) -> np.ndarray:
@@ -129,6 +128,12 @@ class PayoffSurfaces:
     def payoff_wifi_grid(self) -> np.ndarray:
         return self.throughput - self.cost
 
+    def payoff(self, player: str, pair: StrategyPair) -> float:
+        """``player``'s payoff at a grid point; off-grid pairs are rejected."""
+        _require_player(player)
+        grid = self.payoff_dsrc_grid() if player == DSRC else self.payoff_wifi_grid()
+        return float(grid[self.indices_of(pair)])
+
 
 def build_surfaces(
     config: NetworkConfig,
@@ -145,25 +150,14 @@ def build_surfaces(
         raise ValueError("the game needs at least one node in each network")
     grid = grid if grid is not None else GridSpec()
     pts = grid.points()
-    tau_d, tau_w = np.meshgrid(pts, pts, indexing="ij")
-    age = _aoi_expr(tau_d, tau_w, config)
-    throughput = _throughput_expr(tau_d, tau_w, config)
-    cost = np.broadcast_to(np.asarray(_cost_expr(tau_d, tau_w, config), dtype=float), age.shape).copy()
+    # Factors on a column (tau_d) and a row (tau_w); the surfaces are their outer products.
+    d, w = _Axis(pts[:, None], config.n_dsrc), _Axis(pts[None, :], config.n_wifi)
+    age = _aoi_expr(d, w, config.beta)
+    throughput = _throughput_expr(d, w, config.beta)
+    cost = _cost_expr(d, w, config)
     rescaled = (rescale if rescale is not None else rescale_age)(age, throughput)
     for arr in (age, throughput, cost, rescaled):
         arr.setflags(write=False)
     return PayoffSurfaces(
         config=config, grid=grid, age=age, throughput=throughput, cost=cost, age_rescaled=rescaled
     )
-
-
-def dsrc_payoff(pair: StrategyPair, surfaces: PayoffSurfaces) -> float:
-    """-rescaled age - cost at a grid point; off-grid pairs are rejected."""
-    i, j = surfaces.indices_of(pair)
-    return float(-surfaces.age_rescaled[i, j] - surfaces.cost[i, j])
-
-
-def wifi_payoff(pair: StrategyPair, surfaces: PayoffSurfaces) -> float:
-    """throughput - cost at a grid point; off-grid pairs are rejected."""
-    i, j = surfaces.indices_of(pair)
-    return float(surfaces.throughput[i, j] - surfaces.cost[i, j])

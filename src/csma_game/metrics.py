@@ -1,32 +1,20 @@
 """Per-node throughput and age of information.
 
-Two routes to the same quantities. The general route works on an arbitrary
-heterogeneous :class:`~csma_game.model.AccessVector`: a tagged node's
-inter-update time is a geometric number of non-updating slots followed by
-one successful slot, and its long-run time-average age follows from the
-first two moments of that inter-update time. The closed-form route
-specialises to homogeneous networks with idle slots of length beta and
-success/collision slots of length 1 + beta; it is what the game layer
-evaluates on strategy grids. The two routes agree to floating-point
-accuracy and are cross-checked in the test suite.
+A tagged node's inter-update time Z is a geometric number of non-updating
+slots followed by one successful slot; its long-run time-average age
+follows from the first two moments of Z (Kaul, Yates & Gruteser, INFOCOM
+2012). The per-node functions work on an arbitrary heterogeneous
+:class:`~csma_game.model.AccessVector` and read every slot probability from
+one kernel pass. The homogeneous closed forms combine the per-axis
+contention factors of :mod:`~csma_game.model`; they are what the game layer
+evaluates on strategy grids, and they accept numpy arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .model import (
-    AccessVector,
-    NetworkConfig,
-    SlotLengths,
-    StrategyPair,
-    expected_slot_length,
-    idle_prob_excluding,
-    joint_idle_prob,
-    success_prob_excluding,
-    success_prob_node,
-)
+from .model import AccessVector, NetworkConfig, SlotLengths, StrategyPair, _Axis
 
 
 @dataclass(frozen=True)
@@ -44,110 +32,54 @@ class InterUpdateMoments:
             raise ValueError("second moment below the square of the first")
 
 
-@dataclass(frozen=True)
-class ResidualSlotPmf:
-    """Distribution of one slot's length given the tagged node did not update.
+def _node_kernels(v: AccessVector, i: int):
+    """The kernel pass of ``v`` and node i's solo-success probability."""
+    if not 0 <= i < len(v.taus):
+        raise IndexError(f"node index {i} out of range for {len(v.taus)} nodes")
+    k = v._kernels
+    return k, k.solo[i]
 
-    All three probabilities are conditioned on the tagged node not
-    transmitting successfully; the paired durations come from ``lengths``.
-    """
 
-    p_idle: float
-    p_other_success: float
-    p_collision: float
-    lengths: SlotLengths
-
-    def __post_init__(self) -> None:
-        total = self.p_idle + self.p_other_success + self.p_collision
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"residual slot probabilities sum to {total}, not 1")
-
-    def mean(self) -> float:
-        s = self.lengths
-        return self.p_idle * s.idle + self.p_other_success * s.success + self.p_collision * s.collision
-
-    def second_moment(self) -> float:
-        s = self.lengths
-        return (
-            self.p_idle * s.idle**2
-            + self.p_other_success * s.success**2
-            + self.p_collision * s.collision**2
-        )
+def _moments(v: AccessVector, s: SlotLengths, i: int) -> tuple[float, float]:
+    """E[Z] and E[Z^2] for node i; see :func:`inter_update_moments`."""
+    k, p = _node_kernels(v, i)
+    if p <= 0.0:
+        raise ValueError("tagged node never updates; inter-update time is infinite")
+    sig_s = s.success
+    if p >= 1.0:
+        return sig_s, sig_s**2
+    fail = 1.0 - p
+    p_other = k.success - p
+    ey = (k.idle * s.idle + p_other * s.success + k.collision * s.collision) / fail
+    ey2 = (k.idle * s.idle**2 + p_other * s.success**2 + k.collision * s.collision**2) / fail
+    el = 1.0 / p
+    el2 = (2.0 - p) / p**2
+    ez = (el - 1.0) * ey + sig_s
+    ez2 = (el - 1.0) * (ey2 + 2.0 * sig_s * ey) + (el2 - 3.0 * el + 2.0) * ey**2 + sig_s**2
+    return ez, ez2
 
 
 def per_node_throughput(v: AccessVector, s: SlotLengths, i: int) -> float:
     """Fraction of time occupied by node i's successful transmissions."""
-    return success_prob_node(v, i) * s.success / expected_slot_length(v, s)
-
-
-def residual_slot_pmf(v: AccessVector, s: SlotLengths, i: int) -> ResidualSlotPmf:
-    """Length distribution of a slot in which node i does not update.
-
-    Such a slot is idle, carries another node's success, or is a collision
-    (any slot with >= 2 transmitters, node i possibly among them).
-    """
-    p_succ_i = success_prob_node(v, i)
-    if p_succ_i >= 1.0:
-        raise ValueError("tagged node updates in every slot; residual slots never occur")
-    fail = 1.0 - p_succ_i
-    p_other = success_prob_excluding(v, i)
-    p_col = 1.0 - idle_prob_excluding(v, i) - p_other
-    return ResidualSlotPmf(
-        p_idle=joint_idle_prob(v) / fail,
-        p_other_success=p_other / fail,
-        p_collision=p_col / fail,
-        lengths=s,
-    )
+    k, p = _node_kernels(v, i)
+    return p * s.success / k.mean_length(s)
 
 
 def inter_update_moments(v: AccessVector, s: SlotLengths, i: int) -> InterUpdateMoments:
     """Moments of the time between node i's consecutive successful updates.
 
-    The number of slots until a success is geometric with parameter
-    p = P(node i alone transmits); the preceding non-updating slots are iid
-    with the residual PMF, and the final slot has the success duration X
-    with E[X] = sigma_S, E[X^2] = sigma_S^2. Composing,
+    The number of slots L until a success is geometric with parameter
+    p = P(node i alone transmits). The preceding non-updating slots are iid
+    with length Y: such a slot is idle, carries another node's success, or
+    is a collision (node i possibly among its senders). The final slot has
+    the success duration X with E[X] = sigma_S, E[X^2] = sigma_S^2.
+    Composing,
 
         E[Z]   = (E[L] - 1) E[Y] + E[X]
         E[Z^2] = (E[L] - 1)(E[Y^2] + 2 E[X] E[Y])
                  + (E[L^2] - 3 E[L] + 2) E[Y]^2 + E[X^2].
     """
-    p = success_prob_node(v, i)
-    if p <= 0.0:
-        raise ValueError("tagged node never updates; inter-update time is infinite")
-    sig_s = s.success
-    if p >= 1.0:
-        return InterUpdateMoments(first=sig_s, second=sig_s**2)
-    pmf = residual_slot_pmf(v, s, i)
-    ey = pmf.mean()
-    ey2 = pmf.second_moment()
-    el = 1.0 / p
-    el2 = (2.0 - p) / p**2
-    ez = (el - 1.0) * ey + sig_s
-    ez2 = (el - 1.0) * (ey2 + 2.0 * sig_s * ey) + (el2 - 3.0 * el + 2.0) * ey**2 + sig_s**2
-    return InterUpdateMoments(first=ez, second=ez2)
-
-
-def inter_update_moments_closed_form(v: AccessVector, s: SlotLengths, i: int) -> InterUpdateMoments:
-    """Same moments in ratio form, without going through L and Y.
-
-    E[Z] is the mean slot length over node i's renewal cycle divided by its
-    per-slot success probability; E[Z^2] follows from the same per-outcome
-    weights with squared durations.
-    """
-    p = success_prob_node(v, i)
-    if p <= 0.0:
-        raise ValueError("tagged node never updates; inter-update time is infinite")
-    p_idle = joint_idle_prob(v)
-    p_other = success_prob_excluding(v, i)
-    p_col = 1.0 - idle_prob_excluding(v, i) - p_other
-    ez = (s.idle * p_idle + s.success * (p_other + p) + s.collision * p_col) / p
-    ez2 = (
-        2.0 * ez**2
-        + s.success**2
-        - 2.0 * s.success * ez
-        + (s.idle**2 * p_idle + s.success**2 * p_other + s.collision**2 * p_col) / p
-    )
+    ez, ez2 = _moments(v, s, i)
     return InterUpdateMoments(first=ez, second=ez2)
 
 
@@ -155,39 +87,24 @@ def aoi_node(v: AccessVector, s: SlotLengths, i: int) -> float:
     """Long-run time-average age of node i's delivered state.
 
     Age grows at unit rate and drops to sigma_S when an update lands, so the
-    average is E[Z^2] / (2 E[Z]) + sigma_S. Debug builds cross-check the
-    algebraically expanded two-term form.
+    average is E[Z^2] / (2 E[Z]) + sigma_S.
     """
-    m = inter_update_moments(v, s, i)
-    age = m.second / (2.0 * m.first) + s.success
-    if __debug__:
-        p = success_prob_node(v, i)
-        p_idle = joint_idle_prob(v)
-        p_other = success_prob_excluding(v, i)
-        p_col = 1.0 - idle_prob_excluding(v, i) - p_other
-        cycle = s.idle * p_idle + s.success * (p_other + p) + s.collision * p_col
-        cycle_sq = s.idle**2 * p_idle + s.success**2 * (p_other + p) + s.collision**2 * p_col
-        expanded = cycle / p + cycle_sq / (2.0 * cycle)
-        assert math.isclose(age, expanded, rel_tol=1e-9), (age, expanded)
-    return age
+    ez, ez2 = _moments(v, s, i)
+    return ez2 / (2.0 * ez) + s.success
 
 
-# Homogeneous closed forms. The private *_expr helpers are plain arithmetic
-# and accept numpy arrays, which is how the game layer fills strategy grids.
+# Homogeneous closed forms with short idle slots (beta) and success/collision
+# slots of 1 + beta. ``d`` and ``w`` are the DSRC and WiFi axis factors.
 
 
-def _throughput_expr(tau_d, tau_w, config: NetworkConfig):
-    beta = config.beta
-    q_d = (1.0 - tau_d) ** config.n_dsrc
-    q_w = (1.0 - tau_w) ** config.n_wifi
-    succ_w = tau_w * (1.0 - tau_w) ** (config.n_wifi - 1) * q_d
-    return succ_w * (1.0 + beta) / (1.0 - q_d * q_w + beta)
+def _throughput_expr(d, w, beta):
+    succ_w = w.solo * d.q
+    return succ_w * (1.0 + beta) / (1.0 - d.q * w.q + beta)
 
 
-def _aoi_expr(tau_d, tau_w, config: NetworkConfig):
-    beta = config.beta
-    p_idle = (1.0 - tau_d) ** config.n_dsrc * (1.0 - tau_w) ** config.n_wifi
-    succ_d = tau_d * (1.0 - tau_d) ** (config.n_dsrc - 1) * (1.0 - tau_w) ** config.n_wifi
+def _aoi_expr(d, w, beta):
+    p_idle = d.q * w.q
+    succ_d = d.solo * w.q
     busy = 1.0 - p_idle
     return (busy + beta) / succ_d + 0.5 * beta + (1.0 + beta) * busy / (2.0 * (busy + beta))
 
@@ -196,7 +113,8 @@ def throughput_closed_form(pair: StrategyPair, config: NetworkConfig) -> float:
     """Per-node WiFi throughput for homogeneous strategies (short-idle slots)."""
     if config.n_wifi == 0:
         return 0.0
-    return float(_throughput_expr(pair.tau_d, pair.tau_w, config))
+    d, w = _Axis(pair.tau_d, config.n_dsrc), _Axis(pair.tau_w, config.n_wifi)
+    return float(_throughput_expr(d, w, config.beta))
 
 
 def aoi_closed_form(pair: StrategyPair, config: NetworkConfig) -> float:
@@ -205,4 +123,5 @@ def aoi_closed_form(pair: StrategyPair, config: NetworkConfig) -> float:
         raise ValueError("age is defined only when the network has a node")
     if pair.tau_d <= 0.0:
         raise ValueError("tau_d must be positive; the tagged node never updates")
-    return float(_aoi_expr(pair.tau_d, pair.tau_w, config))
+    d, w = _Axis(pair.tau_d, config.n_dsrc), _Axis(pair.tau_w, config.n_wifi)
+    return float(_aoi_expr(d, w, config.beta))

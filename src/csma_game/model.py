@@ -3,18 +3,33 @@
 Every node transmits independently in each slot with its own access
 probability. A slot with no transmitter is idle, a slot with exactly one
 transmitter is a success, and a slot with two or more is a collision; each
-outcome has its own duration. These kernels are the building blocks for
-the throughput and age metrics and for the game layered on top.
+outcome has its own duration (Bianchi, IEEE JSAC 2000). These kernels are
+the building blocks for the throughput and age metrics and for the game
+layered on top.
+
+Each slot probability has one formula here. ``_slot_kernels`` computes all
+of them for an arbitrary access vector in one pass; ``_Axis`` computes the
+``(1-tau)^n`` contention factors of one homogeneous network once per
+strategy axis, and the homogeneous closed forms, the payoff surfaces and
+the derivative terms combine those factors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import mul
+from typing import NamedTuple
 
 DSRC = "dsrc"
 WIFI = "wifi"
 PLAYERS = (DSRC, WIFI)
+
+
+def _require_player(tag: str) -> None:
+    if tag not in PLAYERS:
+        raise ValueError(f"player must be {DSRC!r} or {WIFI!r}, got {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +73,7 @@ class NetworkConfig:
             raise ValueError("node counts must be non-negative")
         if self.n_dsrc + self.n_wifi < 1:
             raise ValueError("need at least one node across both networks")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        self.slot_lengths()  # rejects beta outside (0, 1)
         if self.w_idle < 0.0 or self.w_col < 0.0:
             raise ValueError("cost weights must be non-negative")
 
@@ -123,59 +137,71 @@ class AccessVector:
     def __len__(self) -> int:
         return len(self.taus)
 
+    @cached_property
+    def _kernels(self) -> _SlotKernels:
+        """The slot kernels, computed on first use; the vector is immutable,
+        so evaluating every node of it makes one pass, not one per node."""
+        return _slot_kernels(self.taus)
 
-def _check_index(v: AccessVector, i: int) -> None:
-    if not 0 <= i < len(v):
-        raise IndexError(f"node index {i} out of range for {len(v)} nodes")
+
+class _SlotKernels(NamedTuple):
+    """Slot-outcome probabilities of one access vector."""
+
+    idle: float  # nobody transmits
+    excl: tuple[float, ...]  # excl[i]: no node other than i transmits
+    solo: tuple[float, ...]  # solo[i]: node i alone transmits
+    success: float  # exactly one node transmits
+    collision: float  # two or more nodes transmit
+
+    def mean_length(self, s: SlotLengths) -> float:
+        return s.idle * self.idle + s.success * self.success + s.collision * self.collision
 
 
-def _exclusive_idle_products(taus: tuple[float, ...]) -> list[float]:
-    """prod_{j != i} (1 - tau_j) for every i, via prefix/suffix products.
+def _slot_kernels(taus: tuple[float, ...]) -> _SlotKernels:
+    """Every slot probability of ``taus`` in one prefix/suffix pass.
 
-    Division-free so tau_j = 1 entries are handled exactly.
+    excl[i] multiplies the (1 - tau) factors before node i by those after
+    it; there is no division, so tau = 1 entries are handled exactly.
     """
-    n = len(taus)
-    pref = [1.0] * (n + 1)
-    for k in range(n):
-        pref[k + 1] = pref[k] * (1.0 - taus[k])
-    suf = [1.0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suf[k] = suf[k + 1] * (1.0 - taus[k])
-    return [pref[i] * suf[i + 1] for i in range(n)]
+    ones = [1.0 - tau for tau in taus]
+    pref = list(accumulate(ones, mul, initial=1.0))
+    suf = list(accumulate(reversed(ones), mul, initial=1.0))[::-1]
+    excl = tuple(map(mul, pref, suf[1:]))
+    solo = tuple(map(mul, taus, excl))
+    success = sum(solo)
+    return _SlotKernels(pref[-1], excl, solo, success, 1.0 - pref[-1] - success)
+
+
+class _Axis:
+    """Contention factors of ``n`` nodes at access probability ``tau``.
+
+    ``tau`` is a scalar or an array: an array gives the factors of a whole
+    strategy axis at once. A network with no nodes is ``tau = 0, n = 0``,
+    whose factors are all 1 except ``solo``, which is 0.
+    """
+
+    __slots__ = ("n", "tau", "q", "solo", "r1", "r2")
+
+    def __init__(self, tau, n: int):
+        one = 1.0 - tau
+        self.n = n
+        self.tau = tau
+        self.q = one**n  # the whole network is silent
+        self.r1 = one ** (n - 1)
+        self.solo = tau * self.r1  # one given node alone transmits in its network
+        self.r2 = one ** (n - 2)
 
 
 def joint_idle_prob(v: AccessVector) -> float:
     """Probability that nobody transmits in a slot: prod_i (1 - tau_i)."""
-    return math.prod(1.0 - tau for tau in v.taus)
-
-
-def idle_prob_excluding(v: AccessVector, i: int) -> float:
-    """Probability that no node other than i transmits: prod_{j != i} (1 - tau_j)."""
-    _check_index(v, i)
-    return math.prod(1.0 - tau for j, tau in enumerate(v.taus) if j != i)
-
-
-def success_prob_node(v: AccessVector, i: int) -> float:
-    """Probability that node i alone transmits: tau_i * prod_{j != i} (1 - tau_j)."""
-    _check_index(v, i)
-    return v.taus[i] * idle_prob_excluding(v, i)
+    return v._kernels.idle
 
 
 def success_prob_total(v: AccessVector) -> float:
     """Probability that exactly one node transmits, summed over senders."""
-    excl = _exclusive_idle_products(v.taus)
-    return sum(tau * ex for tau, ex in zip(v.taus, excl))
-
-
-def success_prob_excluding(v: AccessVector, i: int) -> float:
-    """Probability that exactly one node transmits and it is not node i."""
-    _check_index(v, i)
-    excl = _exclusive_idle_products(v.taus)
-    return sum(tau * ex for j, (tau, ex) in enumerate(zip(v.taus, excl)) if j != i)
+    return v._kernels.success
 
 
 def expected_slot_length(v: AccessVector, s: SlotLengths) -> float:
     """Mean slot duration: the idle/success/collision mix weighted by length."""
-    p_idle = joint_idle_prob(v)
-    p_succ = success_prob_total(v)
-    return s.idle * p_idle + s.success * p_succ + s.collision * (1.0 - p_idle - p_succ)
+    return v._kernels.mean_length(s)

@@ -1,13 +1,18 @@
-"""Closed-form derivatives vs finite differences, landmark roots, sign scans."""
+"""Closed-form derivatives vs finite differences, landmark roots, sign scans.
+
+``alpha1_rewritten`` below is a second derivation of the curvature term; it
+lives here as an oracle for the library's form.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from csma_game.analysis import (
     age_payoff_derivative_terms,
-    alpha1_rewritten,
     alpha2_root,
     tau_prime_upper_bound,
     verify_quasiconcavity,
@@ -126,13 +131,28 @@ class TestWifiDerivativeTerms:
             wifi_payoff_derivative_terms(StrategyPair(0.5, 0.0), cfg)
 
 
-def test_alpha1_rewrite_is_the_same_function():
-    rng = np.random.default_rng(43)
-    for _ in range(100):
-        cfg = NetworkConfig(int(rng.integers(1, 6)), int(rng.integers(1, 6)), float(rng.uniform(0.001, 0.5)))
-        pair = StrategyPair(float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 0.99)))
-        direct = age_payoff_derivative_terms(pair, cfg).alpha1
-        assert alpha1_rewritten(pair, cfg) == pytest.approx(direct, rel=1e-12)
+def alpha1_rewritten(pair, config):
+    """alpha1 with the beta factors folded into the denominator."""
+    beta = config.beta
+    n_d = config.n_dsrc
+    q_w = (1.0 - pair.tau_w) ** config.n_wifi
+    one = 1.0 - pair.tau_d
+    denom = (2.0 * (1.0 + beta) / beta) * (1.0 - one**n_d * q_w / (1.0 + beta)) ** 2
+    return q_w * n_d * one ** (n_d - 1) / denom
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.floats(0.001, 0.5),
+    st.floats(0.01, 0.99),
+    st.floats(0.01, 0.99),
+)
+def test_alpha1_rewrite_is_the_same_function(n_d, n_w, beta, tau_d, tau_w):
+    cfg = NetworkConfig(n_d, n_w, beta)
+    pair = StrategyPair(tau_d, tau_w)
+    direct = age_payoff_derivative_terms(pair, cfg).alpha1
+    assert alpha1_rewritten(pair, cfg) == pytest.approx(direct, rel=1e-12)
 
 
 class TestTauPrimeUpperBound:

@@ -174,3 +174,23 @@ def test_unwritable_output_path(capsys):
 def test_simulate_without_activity_is_runtime_error(capsys):
     code = main(["simulate", "--nd", "1", "--nw", "1", "--horizon", "100", "--seed", "0"])
     assert code == 2
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_non_finite_lone_optimum_is_runtime_error(capsys):
+    code = main(["optimum", "--kind", "dsrc", "--n", "100000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "dsrc" in err and "n=100000" in err
+
+
+def test_metrics_without_dsrc_sender_leaves_age_empty(capsys):
+    code, out = run_cli(
+        ["metrics", "--nd", "1", "--nw", "2", "--tau-d", "0", "--grid-lo", "0.1", "--grid-hi", "0.3",
+         "--grid-step", "0.1", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    records = json.loads(out)
+    assert len(records) == 3
+    assert all(r["age"] is None and r["throughput"] > 0.0 for r in records)

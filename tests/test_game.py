@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from csma_game.game import (
     GridSpec,
     build_surfaces,
-    dsrc_payoff,
     rescale_age,
     rescale_age_per_opponent,
     wastage_cost,
-    wifi_payoff,
 )
 from csma_game.metrics import aoi_closed_form, throughput_closed_form
 from csma_game.model import (
+    DSRC,
+    WIFI,
     AccessVector,
     NetworkConfig,
     StrategyPair,
@@ -146,18 +146,20 @@ class TestSurfaces:
         for tau_d, tau_w in [(0.05, 0.9), (0.46, 0.46)]:
             i, j = surf.grid.index_of(tau_d), surf.grid.index_of(tau_w)
             pair = StrategyPair(tau_d, tau_w)
-            identity = dsrc_payoff(pair, surf) + surf.cost[i, j] + surf.age_rescaled[i, j]
+            identity = surf.payoff(DSRC, pair) + surf.cost[i, j] + surf.age_rescaled[i, j]
             assert identity == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError):
-            dsrc_payoff(StrategyPair(0.015, 0.2), surf)
+            surf.payoff(DSRC, StrategyPair(0.015, 0.2))
         with pytest.raises(ValueError):
-            wifi_payoff(StrategyPair(0.2, 0.015), surf)
+            surf.payoff(WIFI, StrategyPair(0.2, 0.015))
+        with pytest.raises(ValueError):
+            surf.payoff("lte", StrategyPair(0.05, 0.9))
 
     def test_wifi_payoff_is_raw_throughput_when_free(self):
         cfg = NetworkConfig(2, 2, 0.001)
         surf = build_surfaces(cfg)
         pair = StrategyPair(0.31, 0.44)
-        assert wifi_payoff(pair, surf) == pytest.approx(throughput_closed_form(pair, cfg), rel=1e-12)
+        assert surf.payoff(WIFI, pair) == pytest.approx(throughput_closed_form(pair, cfg), rel=1e-12)
 
     def test_free_game_best_replies_minimize_raw_age(self):
         surf = build_surfaces(NetworkConfig(2, 2, 0.001))

@@ -1,4 +1,8 @@
-"""Throughput and age metrics: both routes, hand values, pinned reference optima."""
+"""Throughput and age metrics: both routes, hand values, pinned reference optima.
+
+The ratio-form moments below are a second derivation of the inter-update
+moments; they live here as an oracle for the library's composition form.
+"""
 
 import math
 
@@ -10,9 +14,7 @@ from csma_game.metrics import (
     aoi_closed_form,
     aoi_node,
     inter_update_moments,
-    inter_update_moments_closed_form,
     per_node_throughput,
-    residual_slot_pmf,
     throughput_closed_form,
 )
 from csma_game.model import (
@@ -22,6 +24,7 @@ from csma_game.model import (
     NetworkConfig,
     SlotLengths,
     StrategyPair,
+    _slot_kernels,
 )
 from csma_game.simulate import SimConfig, run_simulation
 
@@ -33,6 +36,36 @@ def vector(*taus):
 
 
 taus_interior = st.lists(st.floats(0.02, 0.9), min_size=1, max_size=4)
+
+
+def residual_pmf(taus, i):
+    """P(idle), P(another node's success), P(collision) given node i does not update."""
+    k = _slot_kernels(tuple(taus))
+    fail = 1.0 - k.solo[i]
+    return k.idle / fail, (k.success - k.solo[i]) / fail, k.collision / fail
+
+
+def ratio_form_moments(taus, s, i):
+    """E[Z] and E[Z^2] in ratio form, without going through L and Y.
+
+    E[Z] is the mean slot length over node i's renewal cycle divided by its
+    per-slot success probability; E[Z^2] follows from the same per-outcome
+    weights with squared durations. Also returns the age in its expanded
+    two-term form.
+    """
+    k = _slot_kernels(tuple(taus))
+    p = k.solo[i]
+    p_other = k.success - p
+    cycle = s.idle * k.idle + s.success * (p_other + p) + s.collision * k.collision
+    cycle_sq = s.idle**2 * k.idle + s.success**2 * (p_other + p) + s.collision**2 * k.collision
+    ez = cycle / p
+    ez2 = (
+        2.0 * ez**2
+        + s.success**2
+        - 2.0 * s.success * ez
+        + (s.idle**2 * k.idle + s.success**2 * p_other + s.collision**2 * k.collision) / p
+    )
+    return ez, ez2, cycle / p + cycle_sq / (2.0 * cycle)
 
 
 class TestPerNodeThroughput:
@@ -55,25 +88,19 @@ class TestPerNodeThroughput:
 
 class TestResidualSlotPmf:
     def test_two_symmetric_nodes_uniform_thirds(self):
-        pmf = residual_slot_pmf(vector(0.5, 0.5), S001, 0)
-        assert pmf.p_idle == pytest.approx(1 / 3, abs=1e-12)
-        assert pmf.p_other_success == pytest.approx(1 / 3, abs=1e-12)
-        assert pmf.p_collision == pytest.approx(1 / 3, abs=1e-12)
+        for prob in residual_pmf((0.5, 0.5), 0):
+            assert prob == pytest.approx(1 / 3, abs=1e-12)
 
     def test_single_node_only_idles(self):
-        pmf = residual_slot_pmf(vector(0.3), S001, 0)
-        assert (pmf.p_idle, pmf.p_other_success, pmf.p_collision) == (1.0, 0.0, 0.0)
-
-    def test_degenerate_always_updating(self):
-        with pytest.raises(ValueError):
-            residual_slot_pmf(vector(1.0), S001, 0)
+        p_idle, p_other, p_col = residual_pmf((0.3,), 0)
+        assert (p_idle, p_other) == (1.0, 0.0)
+        # 1 - P(idle) - P(success) rounds to 5.6e-17 here, not to 0
+        assert p_col == pytest.approx(0.0, abs=1e-15)
 
     @given(taus_interior)
     def test_normalization(self, taus):
-        v = vector(*taus)
         for i in range(len(taus)):
-            pmf = residual_slot_pmf(v, S001, i)
-            assert pmf.p_idle + pmf.p_other_success + pmf.p_collision == pytest.approx(1.0, abs=1e-12)
+            assert sum(residual_pmf(taus, i)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInterUpdateMoments:
@@ -92,16 +119,17 @@ class TestInterUpdateMoments:
         with pytest.raises(ValueError):
             inter_update_moments(vector(0.0, 0.4), S001, 0)
         with pytest.raises(ValueError):
-            inter_update_moments_closed_form(vector(0.0, 0.4), S001, 0)
+            aoi_node(vector(0.0, 0.4), S001, 0)
 
     @given(taus_interior)
     def test_composition_equals_closed_form(self, taus):
         v = vector(*taus)
         for i in range(len(taus)):
-            a = inter_update_moments(v, S001, i)
-            b = inter_update_moments_closed_form(v, S001, i)
-            assert a.first == pytest.approx(b.first, rel=1e-10)
-            assert a.second == pytest.approx(b.second, rel=1e-10)
+            m = inter_update_moments(v, S001, i)
+            ez, ez2, age = ratio_form_moments(taus, S001, i)
+            assert m.first == pytest.approx(ez, rel=1e-10)
+            assert m.second == pytest.approx(ez2, rel=1e-10)
+            assert aoi_node(v, S001, i) == pytest.approx(age, rel=1e-9)
 
     @given(taus_interior)
     def test_second_moment_dominates_square(self, taus):
@@ -117,6 +145,13 @@ class TestInterUpdateMoments:
             m = inter_update_moments(v, S001, i)
             assert abs(res.inter_update_mean[i] - m.first) <= 3 * res.inter_update_mean_se[i]
             assert abs(res.inter_update_sq_mean[i] - m.second) <= 3 * res.inter_update_sq_mean_se[i]
+
+
+@pytest.mark.parametrize("i", [2, -1])
+@pytest.mark.parametrize("view", [per_node_throughput, inter_update_moments, aoi_node])
+def test_node_views_reject_index_outside_vector(view, i):
+    with pytest.raises(IndexError):
+        view(vector(0.2, 0.3), S001, i)
 
 
 class TestAoiNode:

@@ -13,11 +13,9 @@ from csma_game.model import (
     NetworkConfig,
     SlotLengths,
     StrategyPair,
+    _slot_kernels,
     expected_slot_length,
-    idle_prob_excluding,
     joint_idle_prob,
-    success_prob_excluding,
-    success_prob_node,
     success_prob_total,
 )
 
@@ -26,22 +24,37 @@ def vector(*taus):
     return AccessVector(tuple(taus), (DSRC,) * len(taus))
 
 
+def kernels(*taus):
+    return _slot_kernels(tuple(taus))
+
+
 def brute_force_probs(taus):
-    """Enumerate all 2^n transmit patterns: the independent oracle."""
+    """Enumerate all 2^n transmit patterns: the independent oracle.
+
+    Returns P(idle), P(node i alone transmits) and P(no node other than i
+    transmits) for every i.
+    """
+    n = len(taus)
     p_idle = 0.0
-    p_succ = [0.0] * len(taus)
-    for pattern in product((0, 1), repeat=len(taus)):
+    p_succ = [0.0] * n
+    p_excl = [0.0] * n
+    for pattern in product((0, 1), repeat=n):
         p = 1.0
         for bit, tau in zip(pattern, taus):
             p *= tau if bit else 1.0 - tau
-        if sum(pattern) == 0:
+        senders = [j for j, bit in enumerate(pattern) if bit]
+        if not senders:
             p_idle += p
-        elif sum(pattern) == 1:
-            p_succ[pattern.index(1)] += p
-    return p_idle, p_succ
+            p_excl = [ex + p for ex in p_excl]
+        elif len(senders) == 1:
+            p_succ[senders[0]] += p
+            p_excl[senders[0]] += p
+    return p_idle, p_succ, p_excl
 
 
 taus_lists = st.lists(st.floats(0.0, 0.95), min_size=1, max_size=4)
+# The oracle's domain keeps always-transmitting nodes (tau = 1).
+taus_closed = st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0)), min_size=1, max_size=4)
 
 
 class TestJointIdleProb:
@@ -62,32 +75,27 @@ class TestJointIdleProb:
 
 class TestIdleProbExcluding:
     def test_single_node_empty_product(self):
-        assert idle_prob_excluding(vector(0.7), 0) == 1.0
+        assert kernels(0.7).excl == (1.0,)
 
     def test_hand_value(self):
-        assert idle_prob_excluding(vector(0.2, 0.2, 0.2), 0) == pytest.approx(0.64, abs=1e-15)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            idle_prob_excluding(vector(0.2, 0.2), 2)
+        assert kernels(0.2, 0.2, 0.2).excl[0] == pytest.approx(0.64, abs=1e-15)
 
     @given(taus_lists)
     def test_factorization_identity(self, taus):
-        v = vector(*taus)
-        p_idle = joint_idle_prob(v)
+        k = kernels(*taus)
         for i in range(len(taus)):
-            assert abs(p_idle - (1.0 - taus[i]) * idle_prob_excluding(v, i)) <= 1e-14
+            assert abs(k.idle - (1.0 - taus[i]) * k.excl[i]) <= 1e-14
 
 
 class TestSuccessProbs:
     def test_silent_node_never_succeeds(self):
-        assert success_prob_node(vector(0.0, 0.3), 0) == 0.0
+        assert kernels(0.0, 0.3).solo[0] == 0.0
 
     def test_hand_value(self):
-        assert success_prob_node(vector(0.2, 0.2, 0.2), 0) == pytest.approx(0.128, abs=1e-15)
+        assert kernels(0.2, 0.2, 0.2).solo[0] == pytest.approx(0.128, abs=1e-15)
 
     def test_uncontended_node(self):
-        assert success_prob_node(vector(0.7), 0) == pytest.approx(0.7)
+        assert kernels(0.7).solo[0] == pytest.approx(0.7)
 
     def test_total_hand_value(self):
         assert success_prob_total(vector(0.2, 0.2, 0.2)) == pytest.approx(0.384, abs=1e-15)
@@ -95,19 +103,13 @@ class TestSuccessProbs:
     def test_total_all_silent(self):
         assert success_prob_total(vector(0.0, 0.0)) == 0.0
 
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            success_prob_node(vector(0.2), 1)
-        with pytest.raises(IndexError):
-            success_prob_excluding(vector(0.2), -1)
-
     @given(taus_lists)
     def test_success_splits_into_node_and_rest(self, taus):
-        v = vector(*taus)
-        total = success_prob_total(v)
+        # the rest, taken as total minus own, equals the direct sum over the other nodes
+        k = kernels(*taus)
         for i in range(len(taus)):
-            split = success_prob_node(v, i) + success_prob_excluding(v, i)
-            assert abs(total - split) <= 1e-14
+            rest = sum(p for j, p in enumerate(k.solo) if j != i)
+            assert abs((k.success - k.solo[i]) - rest) <= 1e-14
 
     @given(taus_lists)
     def test_disjoint_event_bounds(self, taus):
@@ -118,15 +120,18 @@ class TestSuccessProbs:
         assert p_idle + p_succ <= 1.0 + 1e-14
 
 
-@given(taus_lists)
+@given(taus_closed)
 def test_brute_force_oracle_equivalence(taus):
-    v = vector(*taus)
-    p_idle, p_succ = brute_force_probs(taus)
-    assert abs(joint_idle_prob(v) - p_idle) <= 1e-12
-    assert abs(success_prob_total(v) - sum(p_succ)) <= 1e-12
+    k = kernels(*taus)
+    p_idle, p_succ, p_excl = brute_force_probs(taus)
+    assert abs(k.idle - p_idle) <= 1e-12
+    assert abs(joint_idle_prob(vector(*taus)) - p_idle) <= 1e-12
+    assert abs(success_prob_total(vector(*taus)) - sum(p_succ)) <= 1e-12
+    assert abs(k.collision - (1.0 - p_idle - sum(p_succ))) <= 1e-12
     for i in range(len(taus)):
-        assert abs(success_prob_node(v, i) - p_succ[i]) <= 1e-12
-        assert abs(success_prob_excluding(v, i) - (sum(p_succ) - p_succ[i])) <= 1e-12
+        assert abs(k.solo[i] - p_succ[i]) <= 1e-12
+        assert abs(k.excl[i] - p_excl[i]) <= 1e-12
+        assert abs((k.success - k.solo[i]) - (sum(p_succ) - p_succ[i])) <= 1e-12
 
 
 class TestExpectedSlotLength:
