@@ -208,7 +208,9 @@ def verify_quasiconcavity(
 
     A payoff that rises then falls in the player's own strategy makes the
     scanned derivative non-positive then non-negative, so at most one sign
-    change is allowed and it must run negative to positive.
+    change is allowed and it must run negative to positive. Raises
+    FloatingPointError when the opponent's idle factor (1-tau)^n_w, which
+    locates the update-rate root, underflows to 0.
     """
     _require_player(player)
     if not 0.0 <= fixed_opponent < 1.0:
@@ -218,6 +220,11 @@ def verify_quasiconcavity(
     pts = pts[(pts >= _EDGE_MARGIN) & (pts <= 1.0 - _EDGE_MARGIN)]
     if player == DSRC:
         a1, a2, a_col, a_idle, q_w, _ = _age_derivative_parts(pts, fixed_opponent, config)
+        if q_w == 0.0:
+            raise FloatingPointError(
+                f"(1-{fixed_opponent})^{config.n_wifi} underflows to 0, so the update-rate "
+                "root cannot be located for this opponent strategy"
+            )
         totals = a1 + a2 + a_col - a_idle
         bound = tau_prime_upper_bound(config.beta, config.n_dsrc)
         root = alpha2_root(config.n_dsrc, config.beta, q_w=float(q_w))

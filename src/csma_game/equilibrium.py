@@ -83,12 +83,23 @@ class SingleNetworkOptimum:
 
 
 def _tie_mask(u: np.ndarray, axis: int, eps_tie: float) -> np.ndarray:
-    """True where u is within eps_tie of the max, relative to the spread along axis."""
+    """True where u is within eps_tie of the max, relative to the spread along axis.
+
+    Raises FloatingPointError when some column has no best response, which
+    happens only when the payoffs are not finite (``0 * inf`` is NaN).
+    """
     if eps_tie < 0.0:
         raise ValueError("eps_tie must be non-negative")
     top = u.max(axis=axis, keepdims=True)
     spread = top - u.min(axis=axis, keepdims=True)
-    return u >= top - eps_tie * spread
+    mask = u >= top - eps_tie * spread
+    empty = int(np.count_nonzero(~mask.any(axis=axis)))
+    if empty:
+        raise FloatingPointError(
+            f"no best response against {empty} opponent strategies: the payoff surface "
+            "is not finite there, as when (1-tau)^n underflows for large node counts"
+        )
+    return mask
 
 
 def best_response(responder: str, surfaces: PayoffSurfaces, eps_tie: float = 0.0) -> BestResponseMap:
@@ -108,7 +119,9 @@ def enumerate_nash(surfaces: PayoffSurfaces, eps_tie: float = 0.0) -> list[NashR
     """Every grid pair at which both strategies are mutual best responses.
 
     The list is ordered lexicographically by (tau_d, tau_w). An empty list
-    is possible in principle and is reported as such, not raised.
+    is possible in principle and is reported as such, not raised. Raises
+    FloatingPointError when a non-finite payoff leaves some opponent
+    strategy without a best response.
     """
     u_d = surfaces.payoff_dsrc_grid()
     u_w = surfaces.payoff_wifi_grid()

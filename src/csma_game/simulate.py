@@ -2,13 +2,20 @@
 
 One replication draws every node's transmit decision per slot, classifies
 slots as idle/success/collision, and accumulates continuous time as the
-sum of slot durations. Each node's age grows at unit rate and drops to the
-success-slot length at the end of a slot in which it alone transmitted;
-the age integral is exact because age is linear within a slot. Estimates
-use only the post-warmup window. Age and throughput standard errors come
-from batch means (age samples are autocorrelated; a naive variance would
-understate the error), while inter-update times are iid by construction so
-their moments use plain sample standard errors.
+sum of slot durations. Decisions are drawn in chunks of rows, which consume
+the generator's stream exactly as one ``(horizon, n)`` draw would; a slot
+keeps only its transmitter count and its lowest transmitter, so memory
+grows with the horizon plus one chunk, not with horizon x n.
+
+Every per-node estimate comes from the node's delivery times, the ends of
+the slots in which it alone transmitted. Its age grows at unit rate and
+drops to the success-slot length at each delivery, with time 0 counted as
+a delivery, so a gap Z between deliveries adds the area ``s_S*Z + Z^2/2``
+(Kaul, Yates & Gruteser, INFOCOM 2012); the age integral up to any time
+is exact. Estimates use only the post-warmup window. Age and throughput
+standard errors come from batch means (age samples are autocorrelated; a
+naive variance would understate the error), while inter-update times are
+iid by construction so their moments use plain sample standard errors.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ import numpy as np
 from .model import AccessVector, SlotLengths
 
 _N_BATCHES = 100
+# Uniforms drawn per chunk; a chunk holds max(1, _CHUNK // n) slots.
+_CHUNK = 1 << 20
 
 
 class NoProgressError(RuntimeError):
@@ -87,8 +96,17 @@ def _batch_edges(start: int, stop: int) -> np.ndarray:
     return start + (np.arange(b + 1) * n) // b
 
 
-def _window_sums(cumulative: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    return cumulative[edges[1:]] - cumulative[edges[:-1]]
+def _batch_means(batch_sums: np.ndarray, batch_time: np.ndarray) -> tuple[float, float]:
+    """Time average over the batches and its batch-means standard error."""
+    n_batches = batch_sums.size
+    se = (batch_sums / batch_time).std(ddof=1) / np.sqrt(n_batches) if n_batches > 1 else np.nan
+    return batch_sums.sum() / batch_time.sum(), se
+
+
+def _sample_mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error, NaN where there are too few samples."""
+    mean = x.mean() if x.size else np.nan
+    return mean, x.std(ddof=1) / np.sqrt(x.size) if x.size >= 2 else np.nan
 
 
 def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult:
@@ -102,62 +120,47 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     rng = np.random.default_rng(cfg.seed)
     taus = np.asarray(v.taus)
 
-    transmit = rng.random((horizon, n)) < taus
-    tx_count = transmit.sum(axis=1)
+    rows = max(1, _CHUNK // n)
+    tx_count = np.empty(horizon, dtype=np.int64)
+    lowest = np.empty(horizon, dtype=np.intp)
+    for first in range(0, horizon, rows):
+        transmit = rng.random((min(rows, horizon - first), n)) < taus
+        transmit.sum(axis=1, out=tx_count[first:first + rows])
+        transmit.argmax(axis=1, out=lowest[first:first + rows])
     success = tx_count == 1
-    slot_len = np.where(tx_count == 0, s.idle, np.where(success, s.success, s.collision))
-    time_end = np.cumsum(slot_len)
-    time_start = time_end - slot_len
-
     if not success.any():
         raise NoProgressError("no successful slot in the whole horizon; all access probabilities zero?")
 
+    slot_len = np.where(tx_count == 0, s.idle, np.where(success, s.success, s.collision))
+    clock = np.concatenate(([0.0], np.cumsum(slot_len)))  # clock[k]: start of slot k
     edges = _batch_edges(warmup, horizon)
-    n_batches = edges.size - 1
-    cum_time = np.concatenate(([0.0], time_end))
-    batch_time = _window_sums(cum_time, edges)
-    window_time = float(batch_time.sum())
+    edge_time = clock[edges]
+    batch_time = np.diff(edge_time)
 
-    throughput = np.empty(n)
-    throughput_se = np.empty(n)
-    age = np.empty(n)
-    age_se = np.empty(n)
-    iu_mean = np.full(n, np.nan)
-    iu_mean_se = np.full(n, np.nan)
-    iu_sq = np.full(n, np.nan)
-    iu_sq_se = np.full(n, np.nan)
-    update_counts = np.zeros(n, dtype=np.int64)
+    # Success slots grouped by their transmitter, each group in slot order.
+    success_slots = np.flatnonzero(success)
+    winner = lowest[success_slots]
+    groups = np.cumsum(np.bincount(winner, minlength=n))[:-1]
+    by_node = np.split(success_slots[np.argsort(winner, kind="stable")], groups)
 
-    for i in range(n):
-        updates = transmit[:, i] & success
-        # Age at slot start = time since the most recent update's end, plus
-        # the delivery latency; time 0 counts as a pseudo-update.
-        reset_end = np.where(updates, time_end, 0.0)
-        prev_reset = np.concatenate(([0.0], np.maximum.accumulate(reset_end)[:-1]))
-        age_start = time_start - prev_reset + s.success
-        area = slot_len * (age_start + 0.5 * slot_len)
-        cum_area = np.concatenate(([0.0], np.cumsum(area)))
-        batch_area = _window_sums(cum_area, edges)
-        batch_age = batch_area / batch_time
-        age[i] = batch_area.sum() / window_time
-        age_se[i] = batch_age.std(ddof=1) / np.sqrt(n_batches) if n_batches > 1 else np.nan
-
-        occupied = np.where(updates, s.success, 0.0)
-        cum_occ = np.concatenate(([0.0], np.cumsum(occupied)))
-        batch_occ = _window_sums(cum_occ, edges)
-        batch_thr = batch_occ / batch_time
-        throughput[i] = batch_occ.sum() / window_time
-        throughput_se[i] = batch_thr.std(ddof=1) / np.sqrt(n_batches) if n_batches > 1 else np.nan
-
-        upd_times = time_end[warmup:][updates[warmup:]]
-        update_counts[i] = upd_times.size
-        if upd_times.size >= 2:
-            z = np.diff(upd_times)
-            iu_mean[i] = z.mean()
-            iu_sq[i] = (z**2).mean()
-            if z.size >= 2:
-                iu_mean_se[i] = z.std(ddof=1) / np.sqrt(z.size)
-                iu_sq_se[i] = (z**2).std(ddof=1) / np.sqrt(z.size)
+    estimates = np.empty((9, n))  # rows in SimResult field order, update counts last
+    for i, slots in enumerate(by_node):
+        delivered = np.concatenate(([0.0], clock[slots + 1]))
+        gap = np.diff(delivered)
+        cum_area = np.concatenate(([0.0], np.cumsum(s.success * gap + 0.5 * gap * gap)))
+        last = np.searchsorted(delivered, edge_time, side="right") - 1
+        since = edge_time - delivered[last]
+        area = cum_area[last] + s.success * since + 0.5 * since * since
+        batch_updates = np.diff(np.searchsorted(slots, edges))
+        measured = delivered[1 + np.searchsorted(slots, warmup):]
+        z = np.diff(measured)
+        estimates[:, i] = (
+            *_batch_means(s.success * batch_updates, batch_time),
+            *_batch_means(np.diff(area), batch_time),
+            *_sample_mean_se(z),
+            *_sample_mean_se(z**2),
+            measured.size,
+        )
 
     measured_counts = tx_count[warmup:]
     slots_idle = int(np.count_nonzero(measured_counts == 0))
@@ -165,18 +168,11 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     slots_measured = horizon - warmup
 
     return SimResult(
-        throughput=throughput,
-        throughput_se=throughput_se,
-        age=age,
-        age_se=age_se,
-        inter_update_mean=iu_mean,
-        inter_update_mean_se=iu_mean_se,
-        inter_update_sq_mean=iu_sq,
-        inter_update_sq_mean_se=iu_sq_se,
-        update_counts=update_counts,
+        *estimates[:8],
+        update_counts=estimates[8].astype(np.int64),
         slots_idle=slots_idle,
         slots_success=slots_success,
         slots_collision=slots_measured - slots_idle - slots_success,
         slots_measured=slots_measured,
-        time_measured=window_time,
+        time_measured=float(batch_time.sum()),
     )

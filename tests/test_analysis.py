@@ -211,6 +211,11 @@ class TestAlpha2Root:
     def test_single_node_root_degenerates_to_one(self):
         assert alpha2_root(1, 0.001, q_w=1.0) == pytest.approx(1.0, abs=1e-9)
 
+    def test_rejects_non_positive_idle_factor(self):
+        for q_w in (0.0, -0.5):
+            with pytest.raises(ValueError, match="q_w"):
+                alpha2_root(2, 0.001, q_w=q_w)
+
 
 class TestVerifyQuasiconcavity:
     def test_two_by_two_free_game(self):

@@ -194,3 +194,32 @@ def test_metrics_without_dsrc_sender_leaves_age_empty(capsys):
     records = json.loads(out)
     assert len(records) == 3
     assert all(r["age"] is None and r["throughput"] > 0.0 for r in records)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["nash", "--nd", "400", "--nw", "400"],
+    ["stackelberg", "--nd", "400", "--nw", "400", "--leader", "wifi"],
+])
+def test_non_finite_payoff_surface_is_runtime_error(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no best response" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_age_leader_on_non_finite_surface_still_answers(capsys):
+    code, out = run_cli(["stackelberg", "--nd", "400", "--nw", "400", "--leader", "dsrc"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert (rows[0]["tau_d"], rows[0]["tau_w"]) == ("0.01", "0.01")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_underflowing_opponent_factor_is_runtime_error(capsys):
+    code = main(["verify", "--nd", "2", "--nw", "400", "--player", "dsrc", "--tau-opp", "0.9"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "underflows" in err

@@ -1,8 +1,13 @@
-"""Slot simulator: determinism, exact degenerate paths, agreement with analytics."""
+"""Slot simulator: determinism, exact degenerate paths, agreement with analytics
+and with a dense per-slot reference, bounded memory."""
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from csma_game import simulate
 from csma_game.metrics import aoi_node, inter_update_moments, per_node_throughput
 from csma_game.model import (
     DSRC,
@@ -17,6 +22,64 @@ from csma_game.model import (
 from csma_game.simulate import NoProgressError, SimConfig, SimResult, run_simulation
 
 S001 = SlotLengths.from_beta(0.001)
+
+EXACT_FIELDS = ("update_counts", "inter_update_mean", "inter_update_mean_se",
+                "inter_update_sq_mean", "inter_update_sq_mean_se")
+ESTIMATES = {"age": "age_se", "throughput": "throughput_se"}
+SLOT_FIELDS = ("slots_idle", "slots_success", "slots_collision", "slots_measured", "time_measured")
+
+
+def dense_reference(v, s, cfg):
+    """Per-slot x per-node oracle: one dense (horizon, n) draw, then every
+    node's age and channel occupancy integrated slot by slot."""
+    n, horizon, warmup = len(v), cfg.horizon_slots, cfg.resolved_warmup
+    transmit = np.random.default_rng(cfg.seed).random((horizon, n)) < np.asarray(v.taus)
+    tx_count = transmit.sum(axis=1)
+    success = tx_count == 1
+    slot_len = np.where(tx_count == 0, s.idle, np.where(success, s.success, s.collision))
+    time_end = np.cumsum(slot_len)
+    time_start = time_end - slot_len
+    b = min(100, horizon - warmup)
+    edges = warmup + (np.arange(b + 1) * (horizon - warmup)) // b
+
+    def window_sums(per_slot):
+        cum = np.concatenate(([0.0], np.cumsum(per_slot)))
+        return cum[edges[1:]] - cum[edges[:-1]]
+
+    batch_time = window_sums(slot_len)
+    window_time = batch_time.sum()
+
+    def batch_means(per_slot):
+        sums = window_sums(per_slot)
+        se = (sums / batch_time).std(ddof=1) / np.sqrt(b) if b > 1 else np.nan
+        return sums.sum() / window_time, se
+
+    est = {k: np.full(n, np.nan) for k in ("throughput", "throughput_se", "age", "age_se") + EXACT_FIELDS}
+    for i in range(n):
+        updates = transmit[:, i] & success
+        # age at slot start: time since the latest update's end plus the
+        # delivery latency; time 0 counts as an update
+        reset_end = np.where(updates, time_end, 0.0)
+        prev_reset = np.concatenate(([0.0], np.maximum.accumulate(reset_end)[:-1]))
+        age_start = time_start - prev_reset + s.success
+        est["age"][i], est["age_se"][i] = batch_means(slot_len * (age_start + 0.5 * slot_len))
+        est["throughput"][i], est["throughput_se"][i] = batch_means(np.where(updates, s.success, 0.0))
+        upd_times = time_end[warmup:][updates[warmup:]]
+        est["update_counts"][i] = upd_times.size
+        if upd_times.size >= 2:
+            z = np.diff(upd_times)
+            est["inter_update_mean"][i] = z.mean()
+            est["inter_update_sq_mean"][i] = (z**2).mean()
+            if z.size >= 2:
+                est["inter_update_mean_se"][i] = z.std(ddof=1) / np.sqrt(z.size)
+                est["inter_update_sq_mean_se"][i] = (z**2).std(ddof=1) / np.sqrt(z.size)
+    measured = tx_count[warmup:]
+    idle = int(np.count_nonzero(measured == 0))
+    succ = int(np.count_nonzero(measured == 1))
+    est["update_counts"] = est["update_counts"].astype(np.int64)
+    return SimResult(**est, slots_idle=idle, slots_success=succ,
+                     slots_collision=measured.size - idle - succ,
+                     slots_measured=measured.size, time_measured=window_time)
 
 
 def test_config_validation():
@@ -111,3 +174,51 @@ def test_homogeneous_vector_round_trip():
     res = run_simulation(v, S001, SimConfig(horizon_slots=10_000, seed=8))
     assert isinstance(res, SimResult)
     assert res.age.shape == (3,)
+
+
+@pytest.mark.parametrize("taus, horizon, warmup", [
+    ((1.0,), 5_000, None),  # deterministic: one update per slot
+    ((1.0, 0.3), 20_000, None),  # the second node never gets through
+    ((0.0, 0.4, 0.25), 20_000, None),  # silent node
+    ((0.3, 0.5), 57, None),  # fewer slots than batches
+    ((1.0,), 2, 1),  # a single batch: no standard errors
+    ((0.2, 0.1, 0.3), 400_000, 1234),  # crosses a chunk boundary (349 525 rows)
+])
+def test_matches_dense_reference(taus, horizon, warmup):
+    v = AccessVector(taus, (DSRC,) * len(taus))
+    cfg = SimConfig(horizon_slots=horizon, seed=17, warmup_slots=warmup)
+    got, want = run_simulation(v, S001, cfg), dense_reference(v, S001, cfg)
+    for f in SLOT_FIELDS:
+        assert getattr(got, f) == getattr(want, f), f
+    for f in EXACT_FIELDS:
+        assert np.array_equal(getattr(got, f), getattr(want, f), equal_nan=True), f
+    # The integrals are summed in another order, so estimates agree to
+    # rounding. A standard error that is rounding noise around zero (a
+    # tau = 1 node) is also accepted within 1e-9 of its node's estimate.
+    for f, se in ESTIMATES.items():
+        want_f = getattr(want, f)
+        np.testing.assert_allclose(getattr(got, f), want_f, rtol=1e-9, atol=0.0)
+        assert np.isclose(getattr(got, se), getattr(want, se), rtol=1e-9,
+                          atol=1e-9 * np.abs(want_f), equal_nan=True).all(), se
+
+
+def test_chunk_size_does_not_change_the_result(monkeypatch):
+    v = AccessVector((0.3, 0.2, 0.4), (DSRC, DSRC, WIFI))
+    cfg = SimConfig(horizon_slots=3_001, seed=4)
+    whole = run_simulation(v, S001, cfg)
+    monkeypatch.setattr(simulate, "_CHUNK", 7)  # two slots per chunk, one left over
+    chunked = run_simulation(v, S001, cfg)
+    for f, value in dataclasses.asdict(whole).items():
+        assert np.array_equal(getattr(chunked, f), value, equal_nan=True), f
+
+
+def test_memory_grows_with_horizon_not_horizon_times_nodes():
+    v = AccessVector((0.01,) * 100, (DSRC,) * 50 + (WIFI,) * 50)
+    tracemalloc.start()
+    try:
+        run_simulation(v, S001, SimConfig(horizon_slots=200_000, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense (horizon, n) float draw alone would take 153 MiB
+    assert peak < 40 * 2**20
