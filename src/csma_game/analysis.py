@@ -219,12 +219,12 @@ def verify_quasiconcavity(
     pts = scan.points()
     pts = pts[(pts >= _EDGE_MARGIN) & (pts <= 1.0 - _EDGE_MARGIN)]
     if player == DSRC:
-        a1, a2, a_col, a_idle, q_w, _ = _age_derivative_parts(pts, fixed_opponent, config)
-        if q_w == 0.0:
+        if _Axis(fixed_opponent, config.n_wifi).q == 0.0:  # checked first: the terms divide by it
             raise FloatingPointError(
                 f"(1-{fixed_opponent})^{config.n_wifi} underflows to 0, so the update-rate "
                 "root cannot be located for this opponent strategy"
             )
+        a1, a2, a_col, a_idle, q_w, _ = _age_derivative_parts(pts, fixed_opponent, config)
         totals = a1 + a2 + a_col - a_idle
         bound = tau_prime_upper_bound(config.beta, config.n_dsrc)
         root = alpha2_root(config.n_dsrc, config.beta, q_w=float(q_w))

@@ -90,9 +90,10 @@ def _tie_mask(u: np.ndarray, axis: int, eps_tie: float) -> np.ndarray:
     """
     if eps_tie < 0.0:
         raise ValueError("eps_tie must be non-negative")
-    top = u.max(axis=axis, keepdims=True)
-    spread = top - u.min(axis=axis, keepdims=True)
-    mask = u >= top - eps_tie * spread
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf; caught below as an empty column
+        top = u.max(axis=axis, keepdims=True)
+        spread = top - u.min(axis=axis, keepdims=True)
+        mask = u >= top - eps_tie * spread
     empty = int(np.count_nonzero(~mask.any(axis=axis)))
     if empty:
         raise FloatingPointError(

@@ -2,17 +2,19 @@
 
 One replication draws every node's transmit decision per slot, classifies
 slots as idle/success/collision, and accumulates continuous time as the
-sum of slot durations. Decisions are drawn in chunks of rows, which consume
-the generator's stream exactly as one ``(horizon, n)`` draw would; a slot
-keeps only its transmitter count and its lowest transmitter, so memory
-grows with the horizon plus one chunk, not with horizon x n.
+sum of slot durations. One pass covers the warm-up, then each batch, in
+chunks of rows drawn into one reused buffer; they consume the generator's
+stream exactly as one ``(horizon, n)`` draw would. A chunk's 0/1 decisions
+times the ``(n, 2)`` matrix ``[1, i]`` give each slot's transmitter count
+and, in a success slot, its transmitter, exactly (integer sums below 2^53).
+Memory is one chunk plus per-node x per-batch state, whatever the horizon.
 
 Every per-node estimate comes from the node's delivery times, the ends of
 the slots in which it alone transmitted. Its age grows at unit rate and
 drops to the success-slot length at each delivery, with time 0 counted as
 a delivery, so a gap Z between deliveries adds the area ``s_S*Z + Z^2/2``
-(Kaul, Yates & Gruteser, INFOCOM 2012); the age integral up to any time
-is exact. Estimates use only the post-warmup window. Age and throughput
+(Kaul, Yates & Gruteser, INFOCOM 2012); the age integral up to any batch
+edge is exact. Estimates use only the post-warmup window. Age and throughput
 standard errors come from batch means (age samples are autocorrelated; a
 naive variance would understate the error), while inter-update times are
 iid by construction so their moments use plain sample standard errors.
@@ -90,23 +92,37 @@ class SimResult:
         return np.sqrt(f * (1.0 - f) / self.slots_measured)
 
 
-def _batch_edges(start: int, stop: int) -> np.ndarray:
-    n = stop - start
+def _segment_bounds(warmup: int, horizon: int) -> np.ndarray:
+    """Slot bounds of the warm-up (segment 0) and of the batches (segments 1 to b)."""
+    n = horizon - warmup
     b = min(_N_BATCHES, n)
-    return start + (np.arange(b + 1) * n) // b
+    return np.append(0, warmup + (np.arange(b + 1) * n) // b)
 
 
-def _batch_means(batch_sums: np.ndarray, batch_time: np.ndarray) -> tuple[float, float]:
-    """Time average over the batches and its batch-means standard error."""
-    n_batches = batch_sums.size
-    se = (batch_sums / batch_time).std(ddof=1) / np.sqrt(n_batches) if n_batches > 1 else np.nan
-    return batch_sums.sum() / batch_time.sum(), se
+def _batch_means(batch_sums: np.ndarray, batch_time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node time averages over the batches (columns) and their batch-means standard errors."""
+    b = batch_time.size
+    se = (batch_sums / batch_time).std(axis=1, ddof=1) if b > 1 else np.full(len(batch_sums), np.nan)
+    return batch_sums.sum(axis=1) / batch_time.sum(), se / np.sqrt(b)
 
 
-def _sample_mean_se(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error, NaN where there are too few samples."""
-    mean = x.mean() if x.size else np.nan
-    return mean, x.std(ddof=1) / np.sqrt(x.size) if x.size >= 2 else np.nan
+def _merge_samples(stats: np.ndarray, node: np.ndarray, x: np.ndarray) -> None:
+    """Add samples x of the given nodes to per-node rows (count, mean, sum of
+    squared deviations), merging as Chan, Golub & LeVeque (1979) do."""
+    count, mean, m2 = stats
+    k = np.bincount(node, minlength=count.size)
+    k_mean = np.bincount(node, x, count.size) / np.maximum(k, 1)
+    delta, share = k_mean - mean, k / np.maximum(count + k, 1)
+    m2 += np.bincount(node, (x - k_mean[node]) ** 2, count.size) + delta * delta * count * share
+    mean += delta * share
+    count += k
+
+
+def _mean_se(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means and their standard errors, NaN where there are too few samples."""
+    count, mean, m2 = stats
+    se = np.sqrt(m2 / np.maximum(count - 1, 1)) / np.sqrt(np.maximum(count, 1))
+    return np.where(count > 0, mean, np.nan), np.where(count > 1, se, np.nan)
 
 
 def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult:
@@ -115,64 +131,67 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     Deterministic: identical inputs give bit-identical results.
     """
     n = len(v)
-    horizon = cfg.horizon_slots
-    warmup = cfg.resolved_warmup
     rng = np.random.default_rng(cfg.seed)
     taus = np.asarray(v.taus)
+    slot_length = np.array([s.idle, s.success, s.collision])  # by transmitter count 0, 1, 2+
+    classify = np.stack((np.ones(n), np.arange(n)), axis=1)  # count; the transmitter if alone
+    bounds = _segment_bounds(cfg.resolved_warmup, cfg.horizon_slots)
+    n_seg = bounds.size - 1
+    buf = np.empty((min(max(1, _CHUNK // n), np.diff(bounds).max()), n))
+    kinds = np.zeros((n_seg, 3), dtype=np.int64)  # idle, success and collision slots
+    updates = np.zeros((n, n_seg), dtype=np.int64)
+    edge_time = np.empty(n_seg)  # the clock at each segment's end
+    edge_area = np.empty((n, n_seg))  # each node's age integral up to there
+    last, area = np.zeros((2, n))  # latest delivery (time 0 counts as one), age integral up to it
+    measured = np.zeros(n, dtype=bool)  # `last` lies after the warm-up
+    gaps = np.zeros((2, 3, n))  # count, mean and squared deviations of Z and of Z^2
 
-    rows = max(1, _CHUNK // n)
-    tx_count = np.empty(horizon, dtype=np.int64)
-    lowest = np.empty(horizon, dtype=np.intp)
-    for first in range(0, horizon, rows):
-        transmit = rng.random((min(rows, horizon - first), n)) < taus
-        transmit.sum(axis=1, out=tx_count[first:first + rows])
-        transmit.argmax(axis=1, out=lowest[first:first + rows])
-    success = tx_count == 1
-    if not success.any():
+    def add_chunk(transmit: np.ndarray, seg: int, clock: float) -> float:
+        """Add one chunk of 0/1 decisions; returns the clock at its end."""
+        tx = transmit @ classify  # exact: integer sums below 2**53
+        kind = np.minimum(tx[:, 0], 2, out=tx[:, 0]).astype(np.intp)
+        kinds[seg] += np.bincount(kind, minlength=3)
+        end = slot_length[kind]
+        end[0] += clock
+        np.cumsum(end, out=end)  # each slot's end, as one cumsum over the horizon gives
+        solo = np.flatnonzero(kind == 1)
+        # Deliveries by node, then in slot order; a radix sort for up to 65 535 nodes.
+        solo = solo[np.argsort(tx[solo, 1].astype(np.min_scalar_type(n)), kind="stable")]
+        node, t = tx[solo, 1].astype(np.intp), end[solo]
+        new_node = node != np.concatenate(([-1], node[:-1]))
+        z = t - np.concatenate(([0.0], t[:-1]))  # time since the node's previous delivery
+        z[new_node] = t[new_node] - last[node[new_node]]
+        area[:] += np.bincount(node, s.success * z + 0.5 * z * z, n)
+        np.maximum.at(last, node, t)
+        if seg:
+            sample = ~new_node | measured[node]
+            _merge_samples(gaps[0], node[sample], z[sample])
+            _merge_samples(gaps[1], node[sample], z[sample] ** 2)
+            measured[node] = True
+            updates[:, seg] += np.bincount(node, minlength=n)
+        return end[-1]
+
+    clock = 0.0
+    for seg in range(n_seg):
+        for first in range(bounds[seg], bounds[seg + 1], len(buf)):
+            draw = buf[: min(len(buf), bounds[seg + 1] - first)]
+            rng.random(out=draw)
+            clock = add_chunk(np.less(draw, taus, out=draw), seg, clock)
+        edge_time[seg] = clock
+        since = clock - last
+        edge_area[:, seg] = area + s.success * since + 0.5 * since * since
+
+    if not kinds[:, 1].any():
         raise NoProgressError("no successful slot in the whole horizon; all access probabilities zero?")
-
-    slot_len = np.where(tx_count == 0, s.idle, np.where(success, s.success, s.collision))
-    clock = np.concatenate(([0.0], np.cumsum(slot_len)))  # clock[k]: start of slot k
-    edges = _batch_edges(warmup, horizon)
-    edge_time = clock[edges]
     batch_time = np.diff(edge_time)
-
-    # Success slots grouped by their transmitter, each group in slot order.
-    success_slots = np.flatnonzero(success)
-    winner = lowest[success_slots]
-    groups = np.cumsum(np.bincount(winner, minlength=n))[:-1]
-    by_node = np.split(success_slots[np.argsort(winner, kind="stable")], groups)
-
-    estimates = np.empty((9, n))  # rows in SimResult field order, update counts last
-    for i, slots in enumerate(by_node):
-        delivered = np.concatenate(([0.0], clock[slots + 1]))
-        gap = np.diff(delivered)
-        cum_area = np.concatenate(([0.0], np.cumsum(s.success * gap + 0.5 * gap * gap)))
-        last = np.searchsorted(delivered, edge_time, side="right") - 1
-        since = edge_time - delivered[last]
-        area = cum_area[last] + s.success * since + 0.5 * since * since
-        batch_updates = np.diff(np.searchsorted(slots, edges))
-        measured = delivered[1 + np.searchsorted(slots, warmup):]
-        z = np.diff(measured)
-        estimates[:, i] = (
-            *_batch_means(s.success * batch_updates, batch_time),
-            *_batch_means(np.diff(area), batch_time),
-            *_sample_mean_se(z),
-            *_sample_mean_se(z**2),
-            measured.size,
-        )
-
-    measured_counts = tx_count[warmup:]
-    slots_idle = int(np.count_nonzero(measured_counts == 0))
-    slots_success = int(np.count_nonzero(measured_counts == 1))
-    slots_measured = horizon - warmup
-
+    idle, success, collision = kinds[1:].sum(axis=0).tolist()
     return SimResult(
-        *estimates[:8],
-        update_counts=estimates[8].astype(np.int64),
-        slots_idle=slots_idle,
-        slots_success=slots_success,
-        slots_collision=slots_measured - slots_idle - slots_success,
-        slots_measured=slots_measured,
+        *_batch_means(s.success * updates[:, 1:], batch_time),
+        *_batch_means(np.diff(edge_area, axis=1), batch_time),
+        *_mean_se(gaps[0]),
+        *_mean_se(gaps[1]),
+        update_counts=updates.sum(axis=1),
+        slots_idle=idle, slots_success=success, slots_collision=collision,
+        slots_measured=cfg.horizon_slots - cfg.resolved_warmup,
         time_measured=float(batch_time.sum()),
     )

@@ -217,9 +217,10 @@ def test_age_leader_on_non_finite_surface_still_answers(capsys):
     assert (rows[0]["tau_d"], rows[0]["tau_w"]) == ("0.01", "0.01")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_underflowing_opponent_factor_is_runtime_error(capsys):
     code = main(["verify", "--nd", "2", "--nw", "400", "--player", "dsrc", "--tau-opp", "0.9"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "underflows" in err
+    assert err.startswith("error: ") and "underflows" in err
+    assert err.count("\n") == 1 and err.endswith("\n")

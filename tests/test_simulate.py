@@ -1,7 +1,6 @@
 """Slot simulator: determinism, exact degenerate paths, agreement with analytics
 and with a dense per-slot reference, bounded memory."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -23,9 +22,9 @@ from csma_game.simulate import NoProgressError, SimConfig, SimResult, run_simula
 
 S001 = SlotLengths.from_beta(0.001)
 
-EXACT_FIELDS = ("update_counts", "inter_update_mean", "inter_update_mean_se",
-                "inter_update_sq_mean", "inter_update_sq_mean_se")
-ESTIMATES = {"age": "age_se", "throughput": "throughput_se"}
+EXACT_FIELDS = ("update_counts",)
+ESTIMATES = {"age": "age_se", "throughput": "throughput_se",
+             "inter_update_mean": "inter_update_mean_se", "inter_update_sq_mean": "inter_update_sq_mean_se"}
 SLOT_FIELDS = ("slots_idle", "slots_success", "slots_collision", "slots_measured", "time_measured")
 
 
@@ -54,7 +53,7 @@ def dense_reference(v, s, cfg):
         se = (sums / batch_time).std(ddof=1) / np.sqrt(b) if b > 1 else np.nan
         return sums.sum() / window_time, se
 
-    est = {k: np.full(n, np.nan) for k in ("throughput", "throughput_se", "age", "age_se") + EXACT_FIELDS}
+    est = {k: np.full(n, np.nan) for k in EXACT_FIELDS + tuple(ESTIMATES) + tuple(ESTIMATES.values())}
     for i in range(n):
         updates = transmit[:, i] & success
         # age at slot start: time since the latest update's end plus the
@@ -176,15 +175,30 @@ def test_homogeneous_vector_round_trip():
     assert res.age.shape == (3,)
 
 
-@pytest.mark.parametrize("taus, horizon, warmup", [
+DENSE_CASES = [
     ((1.0,), 5_000, None),  # deterministic: one update per slot
     ((1.0, 0.3), 20_000, None),  # the second node never gets through
     ((0.0, 0.4, 0.25), 20_000, None),  # silent node
     ((0.3, 0.5), 57, None),  # fewer slots than batches
     ((1.0,), 2, 1),  # a single batch: no standard errors
-    ((0.2, 0.1, 0.3), 400_000, 1234),  # crosses a chunk boundary (349 525 rows)
+    ((0.2, 0.1, 0.3), 400_000, 1234),  # explicit warm-up, batches of 3988 slots
+    ((0.0, 1.0, 0.5, 0.2), 20_000, None),  # silent and always-on nodes: 1 to 3 transmitters
+]
+
+
+# Every case runs with the default chunk and with chunks of 1 << 12 and 7
+# uniforms, so the warm-up and the batches span many chunks. _CHUNK = 7
+# leaves one or two slots a chunk; over 400 000 slots that is 200 000 chunks
+# (about 30 s), so the longest case skips that size.
+@pytest.mark.parametrize("taus, horizon, warmup, chunk", [
+    pytest.param(taus, horizon, warmup, chunk,
+                 id=f"taus{k}-{horizon}-{warmup}" + ("" if chunk == simulate._CHUNK else f"-chunk{chunk}"))
+    for k, (taus, horizon, warmup) in enumerate(DENSE_CASES)
+    for chunk in (simulate._CHUNK, 1 << 12, 7)
+    if horizon < 100_000 or chunk != 7
 ])
-def test_matches_dense_reference(taus, horizon, warmup):
+def test_matches_dense_reference(taus, horizon, warmup, chunk, monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
     v = AccessVector(taus, (DSRC,) * len(taus))
     cfg = SimConfig(horizon_slots=horizon, seed=17, warmup_slots=warmup)
     got, want = run_simulation(v, S001, cfg), dense_reference(v, S001, cfg)
@@ -192,14 +206,15 @@ def test_matches_dense_reference(taus, horizon, warmup):
         assert getattr(got, f) == getattr(want, f), f
     for f in EXACT_FIELDS:
         assert np.array_equal(getattr(got, f), getattr(want, f), equal_nan=True), f
-    # The integrals are summed in another order, so estimates agree to
-    # rounding. A standard error that is rounding noise around zero (a
-    # tau = 1 node) is also accepted within 1e-9 of its node's estimate.
+    # The integrals and sample moments are summed in another order, so
+    # estimates agree to rounding. A standard error that is rounding noise
+    # around zero (a tau = 1 node) is also accepted within 1e-9 of its
+    # node's estimate.
     for f, se in ESTIMATES.items():
         want_f = getattr(want, f)
         np.testing.assert_allclose(getattr(got, f), want_f, rtol=1e-9, atol=0.0)
         assert np.isclose(getattr(got, se), getattr(want, se), rtol=1e-9,
-                          atol=1e-9 * np.abs(want_f), equal_nan=True).all(), se
+                          atol=1e-9 * np.nan_to_num(np.abs(want_f)), equal_nan=True).all(), se
 
 
 def test_chunk_size_does_not_change_the_result(monkeypatch):
@@ -208,8 +223,11 @@ def test_chunk_size_does_not_change_the_result(monkeypatch):
     whole = run_simulation(v, S001, cfg)
     monkeypatch.setattr(simulate, "_CHUNK", 7)  # two slots per chunk, one left over
     chunked = run_simulation(v, S001, cfg)
-    for f, value in dataclasses.asdict(whole).items():
-        assert np.array_equal(getattr(chunked, f), value, equal_nan=True), f
+    for f in SLOT_FIELDS + EXACT_FIELDS:
+        assert np.array_equal(getattr(chunked, f), getattr(whole, f)), f
+    # per-chunk partial sums round differently
+    for f in tuple(ESTIMATES) + tuple(ESTIMATES.values()):
+        np.testing.assert_allclose(getattr(chunked, f), getattr(whole, f), rtol=1e-9, atol=0.0)
 
 
 def test_memory_grows_with_horizon_not_horizon_times_nodes():
@@ -222,3 +240,21 @@ def test_memory_grows_with_horizon_not_horizon_times_nodes():
         tracemalloc.stop()
     # a dense (horizon, n) float draw alone would take 153 MiB
     assert peak < 40 * 2**20
+
+
+def tracemalloc_peak(v, horizon):
+    tracemalloc.start()
+    try:
+        run_simulation(v, S001, SimConfig(horizon_slots=horizon, seed=5))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_horizon(monkeypatch):
+    # 1638-row chunks: every batch spans whole chunks at both horizons
+    monkeypatch.setattr(simulate, "_CHUNK", 1 << 14)
+    v = AccessVector((0.1,) * 10, (DSRC,) * 5 + (WIFI,) * 5)
+    run_simulation(v, S001, SimConfig(horizon_slots=1_000, seed=5))  # first-call allocations
+    short = tracemalloc_peak(v, 200_000)
+    assert tracemalloc_peak(v, 800_000) <= 1.1 * short
