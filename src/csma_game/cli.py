@@ -258,14 +258,15 @@ def _run_stackelberg(opt: _Options):
     grid = _grid(opt)
     eps = opt.float("eps_tie")
     rescale = _rescale_fn(opt)
-    rows = []
-    for lead in leaders:
-        for nd, nw in sorted(product(opt.int_list("nd"), opt.int_list("nw"))):
-            surfaces = build_surfaces(_network(opt, nd, nw), grid, rescale=rescale)
+    rows = {lead: [] for lead in leaders}  # printed leader by leader; each cell is built once
+    for nd, nw in sorted(product(opt.int_list("nd"), opt.int_list("nw"))):
+        surfaces = build_surfaces(_network(opt, nd, nw), grid, rescale=rescale)
+        for lead in leaders:
             res = solve_stackelberg(lead, surfaces, eps_tie=eps)
-            rows.append((lead, nd, nw, res.pair.tau_d, res.pair.tau_w, res.age, res.throughput,
-                         res.leader_guaranteed_payoff))
-    return ["leader", "nd", "nw", "tau_d", "tau_w", "age", "throughput", "leader_payoff"], rows
+            rows[lead].append((lead, nd, nw, res.pair.tau_d, res.pair.tau_w, res.age, res.throughput,
+                               res.leader_guaranteed_payoff))
+    header = ["leader", "nd", "nw", "tau_d", "tau_w", "age", "throughput", "leader_payoff"]
+    return header, [row for lead in leaders for row in rows[lead]]
 
 
 def _run_optimum(opt: _Options):

@@ -34,7 +34,7 @@ class BestResponseMap:
 
     ``mask[r, o]`` is True when ``responder_taus[r]`` is within
     ``eps_tie * (payoff spread of column o)`` of the best payoff against
-    ``opponent_taus[o]``.
+    ``opponent_taus[o]``. It is a read-only view of the mask the solvers use.
     """
 
     responder: str
@@ -103,16 +103,32 @@ def _tie_mask(u: np.ndarray, axis: int, eps_tie: float) -> np.ndarray:
     return mask
 
 
+def _br_mask(responder: str, surfaces: PayoffSurfaces, eps_tie: float) -> np.ndarray:
+    """The responder's best-response mask, indexed ``[i, j]`` like the surfaces.
+
+    Computed once per surfaces, responder and ``eps_tie``, and kept read-only
+    on the surfaces. Each player's mask is kept on its own: one that raises
+    does not stop the other from being used.
+    """
+    key = (responder, eps_tie)
+    if key not in surfaces._masks:
+        if responder == DSRC:
+            mask = _tie_mask(surfaces.payoff_dsrc_grid(), 0, eps_tie)
+        else:
+            mask = _tie_mask(surfaces.payoff_wifi_grid(), 1, eps_tie)
+        mask.setflags(write=False)
+        surfaces._masks[key] = mask
+    return surfaces._masks[key]
+
+
 def best_response(responder: str, surfaces: PayoffSurfaces, eps_tie: float = 0.0) -> BestResponseMap:
     """All responder strategies tied with the best, per opponent value."""
     _require_player(responder)
     pts = surfaces.grid.points()
-    if responder == DSRC:
-        mask = _tie_mask(surfaces.payoff_dsrc_grid(), 0, eps_tie)
-    else:
-        mask = _tie_mask(surfaces.payoff_wifi_grid(), 1, eps_tie).T
+    mask = _br_mask(responder, surfaces, eps_tie)
     return BestResponseMap(
-        responder=responder, responder_taus=pts, opponent_taus=pts, mask=mask, eps_tie=eps_tie
+        responder=responder, responder_taus=pts, opponent_taus=pts,
+        mask=mask if responder == DSRC else mask.T, eps_tie=eps_tie,
     )
 
 
@@ -122,25 +138,18 @@ def enumerate_nash(surfaces: PayoffSurfaces, eps_tie: float = 0.0) -> list[NashR
     The list is ordered lexicographically by (tau_d, tau_w). An empty list
     is possible in principle and is reported as such, not raised. Raises
     FloatingPointError when a non-finite payoff leaves some opponent
-    strategy without a best response.
+    strategy without a best response. Both best-response masks are kept on
+    the surfaces, where ``solve_stackelberg`` reuses them.
     """
-    u_d = surfaces.payoff_dsrc_grid()
-    u_w = surfaces.payoff_wifi_grid()
-    br_d = _tie_mask(u_d, 0, eps_tie)
-    br_w = _tie_mask(u_w, 1, eps_tie)
+    both = _br_mask(DSRC, surfaces, eps_tie) & _br_mask(WIFI, surfaces, eps_tie)
+    i, j = np.nonzero(both)
     pts = surfaces.grid.points()
-    results = []
-    for i, j in zip(*np.nonzero(br_d & br_w)):
-        results.append(
-            NashResult(
-                pair=StrategyPair(tau_d=float(pts[i]), tau_w=float(pts[j])),
-                age=float(surfaces.age[i, j]),
-                throughput=float(surfaces.throughput[i, j]),
-                payoff_dsrc=float(u_d[i, j]),
-                payoff_wifi=float(u_w[i, j]),
-            )
-        )
-    return results
+    columns = (pts[i], pts[j], surfaces.age[i, j], surfaces.throughput[i, j],
+               surfaces.payoff_dsrc_grid()[i, j], surfaces.payoff_wifi_grid()[i, j])
+    return [
+        NashResult(StrategyPair(tau_d=td, tau_w=tw), age, thr, u_d, u_w)
+        for td, tw, age, thr, u_d, u_w in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def solve_stackelberg(leader: str, surfaces: PayoffSurfaces, eps_tie: float = 0.0) -> StackelbergResult:
@@ -150,15 +159,12 @@ def solve_stackelberg(leader: str, surfaces: PayoffSurfaces, eps_tie: float = 0.
     the reported pair carries the follower reply that attains the minimum.
     """
     _require_player(leader)
-    u_d = surfaces.payoff_dsrc_grid()
-    u_w = surfaces.payoff_wifi_grid()
     pts = surfaces.grid.points()
-    if leader == DSRC:
-        lead_u, fol_u = u_d, u_w  # follower picks the tau_w column within each leader row
+    if leader == DSRC:  # follower picks the tau_w column within each leader row
+        lead_u, fol_mask = surfaces.payoff_dsrc_grid(), _br_mask(WIFI, surfaces, eps_tie)
     else:
-        lead_u, fol_u = u_w.T, u_d.T
-    fol_mask = _tie_mask(fol_u, 1, eps_tie)
-    pessimistic = np.where(fol_mask, lead_u, np.inf).min(axis=1)
+        lead_u, fol_mask = surfaces.payoff_wifi_grid().T, _br_mask(DSRC, surfaces, eps_tie).T
+    pessimistic = lead_u.min(axis=1, where=fol_mask, initial=np.inf)
     li = int(np.argmax(pessimistic))
     replies = np.flatnonzero(fol_mask[li])
     fj = int(replies[np.argmin(lead_u[li, replies])])

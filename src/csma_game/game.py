@@ -11,6 +11,7 @@ throughput values stay in raw physical units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -19,6 +20,11 @@ from .metrics import _aoi_expr, _throughput_expr
 from .model import DSRC, NetworkConfig, StrategyPair, _Axis, _require_player
 
 RescaleFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+# Cells per row block of build_surfaces: 16 rows of a 999-point grid, so each
+# temporary of the closed forms (128 KiB) stays in cache. A 99-point grid is
+# one block.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,9 @@ class PayoffSurfaces:
     """Age, throughput, cost, and rescaled-age values on the strategy grid.
 
     Arrays are indexed ``[i, j]`` with ``i`` the tau_d grid index and ``j``
-    the tau_w grid index, and are read-only once built.
+    the tau_w grid index, and are read-only once built. The payoff grids are
+    computed on first use and kept, read-only; the equilibrium solvers keep
+    each player's best-response mask here too, once per ``eps_tie``.
     """
 
     config: NetworkConfig
@@ -118,21 +126,35 @@ class PayoffSurfaces:
     throughput: np.ndarray = field(repr=False)
     cost: np.ndarray = field(repr=False)
     age_rescaled: np.ndarray = field(repr=False)
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def indices_of(self, pair: StrategyPair) -> tuple[int, int]:
         return self.grid.index_of(pair.tau_d), self.grid.index_of(pair.tau_w)
 
+    @cached_property
+    def _payoff_dsrc(self) -> np.ndarray:
+        return _read_only(-self.age_rescaled - self.cost)
+
+    @cached_property
+    def _payoff_wifi(self) -> np.ndarray:
+        return _read_only(self.throughput - self.cost)
+
     def payoff_dsrc_grid(self) -> np.ndarray:
-        return -self.age_rescaled - self.cost
+        return self._payoff_dsrc
 
     def payoff_wifi_grid(self) -> np.ndarray:
-        return self.throughput - self.cost
+        return self._payoff_wifi
 
     def payoff(self, player: str, pair: StrategyPair) -> float:
         """``player``'s payoff at a grid point; off-grid pairs are rejected."""
         _require_player(player)
         grid = self.payoff_dsrc_grid() if player == DSRC else self.payoff_wifi_grid()
         return float(grid[self.indices_of(pair)])
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def build_surfaces(
@@ -142,19 +164,32 @@ def build_surfaces(
 ) -> PayoffSurfaces:
     """Evaluate all four surfaces on the grid.
 
-    ``rescale`` may be swapped for any other strictly increasing affine map
-    of the age surface; with zero cost weights the equilibria do not depend
-    on the choice.
+    On a grid of more than ``_BLOCK_CELLS`` cells, age, throughput and cost
+    are filled in blocks of tau_d rows, each the closed forms on that
+    block's factors, so their temporaries stay small; every cell is the same
+    as a whole-grid evaluation gives. ``rescale`` may be swapped for any
+    other strictly increasing affine map of the age surface; with zero cost
+    weights the equilibria do not depend on the choice.
     """
     if config.n_dsrc < 1 or config.n_wifi < 1:
         raise ValueError("the game needs at least one node in each network")
     grid = grid if grid is not None else GridSpec()
     pts = grid.points()
     # Factors on a column (tau_d) and a row (tau_w); the surfaces are their outer products.
-    d, w = _Axis(pts[:, None], config.n_dsrc), _Axis(pts[None, :], config.n_wifi)
-    age = _aoi_expr(d, w, config.beta)
-    throughput = _throughput_expr(d, w, config.beta)
-    cost = _cost_expr(d, w, config)
+    w = _Axis(pts[None, :], config.n_wifi)
+
+    def closed_forms(rows: slice):
+        d = _Axis(pts[rows, None], config.n_dsrc)
+        return _aoi_expr(d, w, config.beta), _throughput_expr(d, w, config.beta), _cost_expr(d, w, config)
+
+    step = max(1, _BLOCK_CELLS // pts.size)
+    if step >= pts.size:  # one block: its results are the surfaces, with no copy
+        age, throughput, cost = closed_forms(slice(None))
+    else:
+        age, throughput, cost = (np.empty((pts.size, pts.size)) for _ in range(3))
+        for lo in range(0, pts.size, step):
+            block = slice(lo, lo + step)
+            age[block], throughput[block], cost[block] = closed_forms(block)
     rescaled = (rescale if rescale is not None else rescale_age)(age, throughput)
     for arr in (age, throughput, cost, rescaled):
         arr.setflags(write=False)

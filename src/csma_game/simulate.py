@@ -29,8 +29,11 @@ import numpy as np
 from .model import AccessVector, SlotLengths
 
 _N_BATCHES = 100
-# Uniforms drawn per chunk; a chunk holds max(1, _CHUNK // n) slots.
+# Memory of one chunk in 8-byte words. A slot takes n words of draws and at
+# most _SLOT_WORDS more of temporaries (about 33 bytes, and 48 more in a
+# delivery slot), so a chunk holds max(1, _CHUNK // (n + _SLOT_WORDS)) slots.
 _CHUNK = 1 << 20
+_SLOT_WORDS = 11
 
 
 class NoProgressError(RuntimeError):
@@ -137,7 +140,7 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     classify = np.stack((np.ones(n), np.arange(n)), axis=1)  # count; the transmitter if alone
     bounds = _segment_bounds(cfg.resolved_warmup, cfg.horizon_slots)
     n_seg = bounds.size - 1
-    buf = np.empty((min(max(1, _CHUNK // n), np.diff(bounds).max()), n))
+    buf = np.empty((min(max(1, _CHUNK // (n + _SLOT_WORDS)), np.diff(bounds).max()), n))
     kinds = np.zeros((n_seg, 3), dtype=np.int64)  # idle, success and collision slots
     updates = np.zeros((n, n_seg), dtype=np.int64)
     edge_time = np.empty(n_seg)  # the clock at each segment's end

@@ -5,6 +5,7 @@ import pytest
 
 from csma_game.analysis import alpha2_root
 from csma_game.equilibrium import (
+    _tie_mask,
     best_response,
     enumerate_nash,
     single_network_optimum,
@@ -192,6 +193,58 @@ class TestStackelberg:
     def test_bad_leader_tag(self):
         with pytest.raises(ValueError):
             solve_stackelberg("lte", free_game(1, 1))
+
+
+def costed_game():
+    cfg = NetworkConfig(2, 5, 0.001, w_idle=0.001, w_col=1.001)
+    return build_surfaces(cfg, rescale=rescale_age_per_opponent)
+
+
+class TestSharedSolverInputs:
+    def test_cached_payoffs_equal_fresh_and_are_read_only(self):
+        surf = costed_game()
+        assert surf.payoff_dsrc_grid() is surf.payoff_dsrc_grid()
+        assert surf.payoff_dsrc_grid().tobytes() == (-surf.age_rescaled - surf.cost).tobytes()
+        assert surf.payoff_wifi_grid().tobytes() == (surf.throughput - surf.cost).tobytes()
+        for u in (surf.payoff_dsrc_grid(), surf.payoff_wifi_grid()):
+            with pytest.raises(ValueError):
+                u[0, 0] = 0.0
+
+    @pytest.mark.parametrize("order", [(0.0, 0.1), (0.1, 0.0)])
+    def test_cached_masks_equal_fresh_tie_masks(self, order):
+        surf = costed_game()
+        u_d, u_w = -surf.age_rescaled - surf.cost, surf.throughput - surf.cost
+        assert _tie_mask(u_d, 0, 0.1).sum() > _tie_mask(u_d, 0, 0.0).sum()  # eps_tie matters here
+        for eps in order:
+            br_d, br_w = best_response(DSRC, surf, eps), best_response(WIFI, surf, eps)
+            assert np.array_equal(br_d.mask, _tie_mask(u_d, 0, eps))
+            assert np.array_equal(br_w.mask, _tie_mask(u_w, 1, eps).T)
+            assert best_response(DSRC, surf, eps).mask is br_d.mask
+            assert best_response(WIFI, surf, eps).mask.base is br_w.mask.base
+            for mask in (br_d.mask, br_w.mask):
+                with pytest.raises(ValueError):
+                    mask[0, 0] = not mask[0, 0]
+            # the solvers on the shared surfaces answer as on freshly built ones
+            fresh = costed_game()
+            assert enumerate_nash(surf, eps) == enumerate_nash(fresh, eps)
+            for leader in (DSRC, WIFI):
+                assert solve_stackelberg(leader, surf, eps) == solve_stackelberg(leader, fresh, eps)
+
+    @pytest.mark.parametrize("nash_first", [True, False])
+    def test_each_player_mask_stands_alone(self, nash_first):
+        # At 400/400 the DSRC payoff is not finite, so its mask raises; the
+        # DSRC-led solution needs only the WiFi mask and still answers.
+        with np.errstate(divide="ignore", over="ignore"):
+            surf = free_game(400, 400)
+        if nash_first:
+            with pytest.raises(FloatingPointError):
+                enumerate_nash(surf)
+        res = solve_stackelberg(DSRC, surf)
+        assert (res.pair.tau_d, res.pair.tau_w) == (pytest.approx(0.01), pytest.approx(0.01))
+        with pytest.raises(FloatingPointError):
+            solve_stackelberg(WIFI, surf)
+        with pytest.raises(FloatingPointError):
+            enumerate_nash(surf)
 
 
 class TestSingleNetworkOptimum:

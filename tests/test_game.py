@@ -1,24 +1,29 @@
 """Cost, payoff surfaces, grid handling, and the age-rescaling maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csma_game import game
 from csma_game.game import (
     GridSpec,
+    _cost_expr,
     build_surfaces,
     rescale_age,
     rescale_age_per_opponent,
     wastage_cost,
 )
-from csma_game.metrics import aoi_closed_form, throughput_closed_form
+from csma_game.metrics import _aoi_expr, _throughput_expr, aoi_closed_form, throughput_closed_form
 from csma_game.model import (
     DSRC,
     WIFI,
     AccessVector,
     NetworkConfig,
     StrategyPair,
+    _Axis,
     joint_idle_prob,
     success_prob_total,
 )
@@ -177,3 +182,49 @@ class TestSurfaces:
                 diffs.setdefault(step, 0.0)
                 diffs[step] = max(diffs[step], float(np.abs(np.diff(u)).max()))
         assert diffs[0.01] / diffs[0.001] >= 5.0
+
+
+def whole_grid_surfaces(cfg, grid, rescale):
+    """The four surfaces from one evaluation of the closed forms on the whole grid."""
+    pts = grid.points()
+    d, w = _Axis(pts[:, None], cfg.n_dsrc), _Axis(pts[None, :], cfg.n_wifi)
+    age, thr = _aoi_expr(d, w, cfg.beta), _throughput_expr(d, w, cfg.beta)
+    return age, thr, _cost_expr(d, w, cfg), rescale(age, thr)
+
+
+class TestBlockedBuild:
+    # The default budget takes the 99-point grid in one block; 7-row blocks
+    # give 14 whole blocks and a last one of 1 row.
+    @pytest.mark.parametrize("nd, nw, w_idle, w_col", [
+        (2, 5, 0.0, 0.0),
+        (3, 3, 0.001, 1.001),
+        (400, 400, 0.0, 0.0),  # (1-tau)^n underflows: 4587 non-finite age cells
+    ])
+    @pytest.mark.parametrize("rescale", [rescale_age, rescale_age_per_opponent])
+    @pytest.mark.parametrize("block_cells", [game._BLOCK_CELLS, 7 * 99, 1])
+    def test_bit_identical_to_whole_grid(self, nd, nw, w_idle, w_col, rescale, block_cells, monkeypatch):
+        monkeypatch.setattr(game, "_BLOCK_CELLS", block_cells)
+        cfg = NetworkConfig(nd, nw, 0.001, w_idle=w_idle, w_col=w_col)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            surf = build_surfaces(cfg, rescale=rescale)
+            want = whole_grid_surfaces(cfg, GridSpec(), rescale)
+        got = (surf.age, surf.throughput, surf.cost, surf.age_rescaled)
+        for name, g, w in zip(("age", "throughput", "cost", "age_rescaled"), got, want):
+            assert g.tobytes() == w.tobytes(), name
+        if nd == 400:
+            assert np.count_nonzero(~np.isfinite(surf.age)) == 4587
+
+    @pytest.mark.parametrize("rescale", [rescale_age, rescale_age_per_opponent])
+    def test_peak_memory_is_the_surfaces_and_one_grid_more(self, rescale):
+        # A whole-grid evaluation would hold about three more 999x999 grids.
+        cfg = NetworkConfig(20, 20, 0.004, w_idle=0.004, w_col=1.004)
+        build_surfaces(cfg, rescale=rescale)  # first-call allocations
+        tracemalloc.start()
+        try:
+            surf = build_surfaces(cfg, GridSpec(0.001, 0.999, 0.001), rescale=rescale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (surf.age, surf.throughput, surf.cost, surf.age_rescaled))
+        # one grid, plus a quarter MiB for axis-sized arrays and numpy's iteration buffers
+        assert peak <= returned + surf.age.nbytes + (1 << 18)

@@ -187,9 +187,9 @@ DENSE_CASES = [
 
 
 # Every case runs with the default chunk and with chunks of 1 << 12 and 7
-# uniforms, so the warm-up and the batches span many chunks. _CHUNK = 7
-# leaves one or two slots a chunk; over 400 000 slots that is 200 000 chunks
-# (about 30 s), so the longest case skips that size.
+# words, so the warm-up and the batches span many chunks. _CHUNK = 7 leaves
+# one slot a chunk; over 400 000 slots that is 400 000 chunks (about 60 s),
+# so the longest case skips that size.
 @pytest.mark.parametrize("taus, horizon, warmup, chunk", [
     pytest.param(taus, horizon, warmup, chunk,
                  id=f"taus{k}-{horizon}-{warmup}" + ("" if chunk == simulate._CHUNK else f"-chunk{chunk}"))
@@ -221,7 +221,7 @@ def test_chunk_size_does_not_change_the_result(monkeypatch):
     v = AccessVector((0.3, 0.2, 0.4), (DSRC, DSRC, WIFI))
     cfg = SimConfig(horizon_slots=3_001, seed=4)
     whole = run_simulation(v, S001, cfg)
-    monkeypatch.setattr(simulate, "_CHUNK", 7)  # two slots per chunk, one left over
+    monkeypatch.setattr(simulate, "_CHUNK", 7)  # one slot per chunk
     chunked = run_simulation(v, S001, cfg)
     for f in SLOT_FIELDS + EXACT_FIELDS:
         assert np.array_equal(getattr(chunked, f), getattr(whole, f)), f
@@ -252,9 +252,25 @@ def tracemalloc_peak(v, horizon):
 
 
 def test_memory_does_not_grow_with_the_horizon(monkeypatch):
-    # 1638-row chunks: every batch spans whole chunks at both horizons
+    # 780-row chunks: every batch spans whole chunks at both horizons
     monkeypatch.setattr(simulate, "_CHUNK", 1 << 14)
     v = AccessVector((0.1,) * 10, (DSRC,) * 5 + (WIFI,) * 5)
     run_simulation(v, S001, SimConfig(horizon_slots=1_000, seed=5))  # first-call allocations
     short = tracemalloc_peak(v, 200_000)
     assert tracemalloc_peak(v, 800_000) <= 1.1 * short
+
+
+@pytest.mark.parametrize("tau", [0.01, 1.0])
+def test_one_node_chunk_stays_within_its_budget(tau):
+    # A lone node draws 8 bytes a slot; the chunk's temporaries take up to 88
+    # more (every slot is a delivery at tau = 1). A 1.05M-slot warm-up spans
+    # several chunks; a chunk of _CHUNK slots would peak at 41-89 MiB.
+    v = AccessVector((tau,), (DSRC,))
+    run_simulation(v, S001, SimConfig(horizon_slots=1_000, seed=5))  # first-call allocations
+    tracemalloc.start()
+    try:
+        run_simulation(v, S001, SimConfig(horizon_slots=1_100_000, seed=5, warmup_slots=1_050_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * simulate._CHUNK
