@@ -92,28 +92,26 @@ _COMMAND_FLAGS = {
 }
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="csma-game", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, flags in _COMMAND_FLAGS.items():
-        p = sub.add_parser(command, add_help=True)
-        for flag in flags:
-            p.add_argument("--" + flag.replace("_", "-"), dest=flag, default=None)
-    return parser
+def _parse(argv) -> argparse.Namespace:
+    """Parse with one parser: the subcommand, and the flags of ``argv[0]`` if it names one.
+
+    With a subcommand, help reads as that subcommand's own, with its name in the usage line.
+    """
+    command = argv[0] if argv and argv[0] in _COMMAND_FLAGS else None
+    parser = _Parser(prog="csma-game" if command is None else f"csma-game {command}",
+                     description=__doc__ if command is None else None)
+    parser.add_argument("command", choices=_COMMAND_FLAGS, help=argparse.SUPPRESS if command else None)
+    for flag in _COMMAND_FLAGS.get(command, ()):
+        parser.add_argument("--" + flag.replace("_", "-"), dest=flag)
+    return parser.parse_args(argv)
 
 
-def _as_int(field, raw):
+def _as_number(field, raw, kind):
     try:
-        return int(raw)
+        return kind(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"invalid value for {field}: {raw!r} (expected an integer)")
-
-
-def _as_float(field, raw):
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"invalid value for {field}: {raw!r} (expected a number)")
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"invalid value for {field}: {raw!r} (expected {expected})")
 
 
 def _as_choice(field, raw, choices):
@@ -155,7 +153,7 @@ class _Options:
         preset = getattr(args, "preset", None)
         if preset is not None:
             _as_choice("preset", preset, _PRESETS)
-            beta = self.float("beta")
+            beta = self.number("beta")
             weights = {
                 "nocost": ("0", "0"),
                 "costed": (repr(beta), repr(1.0 + beta)),
@@ -174,37 +172,29 @@ class _Options:
             value = _DEFAULTS[field]
         return value
 
-    # An option whose default is None stays None when it is not given.
-
-    def int(self, field):
+    def number(self, field, kind=float):
+        """The option as ``kind`` (int or float); an option whose default is None stays None."""
         raw = self.raw(field)
-        return None if raw is None else _as_int(field, raw)
+        return None if raw is None else _as_number(field, raw, kind)
 
-    def float(self, field):
-        raw = self.raw(field)
-        return None if raw is None else _as_float(field, raw)
-
-    def int_list(self, field):
-        return tuple(_as_int(field, part) for part in str(self.raw(field)).split(","))
-
-    def float_list(self, field):
-        return tuple(_as_float(field, part) for part in str(self.raw(field)).split(","))
+    def numbers(self, field, kind=float):
+        return tuple(_as_number(field, part, kind) for part in str(self.raw(field)).split(","))
 
     def choice(self, field, choices):
         return _as_choice(field, self.raw(field), choices)
 
 
 def _grid(opt: _Options) -> GridSpec:
-    return GridSpec(lo=opt.float("grid_lo"), hi=opt.float("grid_hi"), step=opt.float("grid_step"))
+    return GridSpec(lo=opt.number("grid_lo"), hi=opt.number("grid_hi"), step=opt.number("grid_step"))
 
 
 def _network(opt: _Options, nd: int, nw: int, w_idle: float | None = None, w_col: float | None = None) -> NetworkConfig:
     return NetworkConfig(
         n_dsrc=nd,
         n_wifi=nw,
-        beta=opt.float("beta"),
-        w_idle=opt.float("w_idle") if w_idle is None else w_idle,
-        w_col=opt.float("w_col") if w_col is None else w_col,
+        beta=opt.number("beta"),
+        w_idle=opt.number("w_idle") if w_idle is None else w_idle,
+        w_col=opt.number("w_col") if w_col is None else w_col,
     )
 
 
@@ -227,22 +217,22 @@ def _nash_rows(config: NetworkConfig, grid: GridSpec, eps_tie: float, rescale, p
 
 
 def _run_nash(opt: _Options):
-    config = _network(opt, opt.int("nd"), opt.int("nw"))
+    config = _network(opt, opt.number("nd", int), opt.number("nw", int))
     rows = _nash_rows(
-        config, _grid(opt), opt.float("eps_tie"), _rescale_fn(opt), (config.n_dsrc, config.n_wifi)
+        config, _grid(opt), opt.number("eps_tie"), _rescale_fn(opt), (config.n_dsrc, config.n_wifi)
     )
     return ["nd", "nw"] + _NASH_COLUMNS, rows
 
 
 def _run_sweep(opt: _Options):
-    nd_list = opt.int_list("nd")
-    nw_list = opt.int_list("nw")
-    w_idle_list = opt.float_list("w_idle")
-    w_col_list = opt.float_list("w_col")
+    nd_list = opt.numbers("nd", int)
+    nw_list = opt.numbers("nw", int)
+    w_idle_list = opt.numbers("w_idle")
+    w_col_list = opt.numbers("w_col")
     if len(w_idle_list) != len(w_col_list):
         raise ConfigError("w_idle and w_col must list the same number of values (weights are paired)")
     grid = _grid(opt)
-    eps = opt.float("eps_tie")
+    eps = opt.number("eps_tie")
     rescale = _rescale_fn(opt)
     rows = []
     cells = sorted(product(nd_list, nw_list, zip(w_idle_list, w_col_list)))
@@ -256,10 +246,10 @@ def _run_stackelberg(opt: _Options):
     leader = opt.choice("leader", (DSRC, WIFI, "both"))
     leaders = (DSRC, WIFI) if leader == "both" else (leader,)
     grid = _grid(opt)
-    eps = opt.float("eps_tie")
+    eps = opt.number("eps_tie")
     rescale = _rescale_fn(opt)
     rows = {lead: [] for lead in leaders}  # printed leader by leader; each cell is built once
-    for nd, nw in sorted(product(opt.int_list("nd"), opt.int_list("nw"))):
+    for nd, nw in sorted(product(opt.numbers("nd", int), opt.numbers("nw", int))):
         surfaces = build_surfaces(_network(opt, nd, nw), grid, rescale=rescale)
         for lead in leaders:
             res = solve_stackelberg(lead, surfaces, eps_tie=eps)
@@ -273,21 +263,21 @@ def _run_optimum(opt: _Options):
     kind = opt.choice("kind", (DSRC, WIFI, "both"))
     kinds = (DSRC, WIFI) if kind == "both" else (kind,)
     grid = _grid(opt)
-    beta = opt.float("beta")
+    beta = opt.number("beta")
     rows = []
     for k in kinds:
-        for n in sorted(opt.int_list("n")):
+        for n in sorted(opt.numbers("n", int)):
             res = single_network_optimum(k, n, beta, grid=grid)
             rows.append((k, n, res.tau_star, res.value))
     return ["kind", "n", "tau_star", "value"], rows
 
 
 def _run_metrics(opt: _Options):
-    tau_d = opt.float("tau_d")
-    tau_w = opt.float("tau_w")
+    tau_d = opt.number("tau_d")
+    tau_w = opt.number("tau_w")
     if (tau_d is None) == (tau_w is None):
         raise ConfigError("metrics needs exactly one fixed strategy: give --tau-d or --tau-w")
-    config = _network(opt, opt.int("nd"), opt.int("nw"))
+    config = _network(opt, opt.number("nd", int), opt.number("nw", int))
     pts = _grid(opt).points()
     if tau_w is not None:
         td, tw = pts, np.full_like(pts, tau_w)
@@ -298,35 +288,37 @@ def _run_metrics(opt: _Options):
     has_age = config.n_dsrc >= 1 and bool((td > 0.0).all())
     ages = _aoi_expr(d, w, config.beta) if has_age else np.full_like(pts, np.nan)
     thrs = _throughput_expr(d, w, config.beta) if config.n_wifi >= 1 else np.zeros_like(pts)
-    return ["tau_d", "tau_w", "age", "throughput"], list(zip(td, tw, ages, thrs))
+    # Rows of Python floats, which format faster than numpy scalars.
+    rows = zip(td.tolist(), tw.tolist(), ages.tolist(), thrs.tolist())
+    return ["tau_d", "tau_w", "age", "throughput"], list(rows)
 
 
 def _run_verify(opt: _Options):
     player = opt.choice("player", (DSRC, WIFI, "both"))
     players = (DSRC, WIFI) if player == "both" else (player,)
-    step = opt.float("scan_step")
+    step = opt.number("scan_step")
     scan = GridSpec(lo=step, hi=1.0 - step, step=step)
+    cells = sorted(product(opt.numbers("nd", int), opt.numbers("nw", int)))
+    configs = [_network(opt, nd, nw) for nd, nw in cells]
+    taus = opt.numbers("tau_opp")
     rows = []
-    for ply in players:
-        for nd, nw in sorted(product(opt.int_list("nd"), opt.int_list("nw"))):
-            config = _network(opt, nd, nw)
-            for tau in opt.float_list("tau_opp"):
-                rep = verify_quasiconcavity(ply, config, tau, scan=scan)
-                rows.append((ply, nd, nw, config.beta, config.w_idle, config.w_col, tau,
-                             rep.sign_change_count, rep.sign_pattern_ok, rep.tau_prime_bound, rep.alpha2_root))
+    for ply, config, tau in product(players, configs, taus):
+        rep = verify_quasiconcavity(ply, config, tau, scan=scan)
+        rows.append((ply, config.n_dsrc, config.n_wifi, config.beta, config.w_idle, config.w_col, tau,
+                     rep.sign_change_count, rep.sign_pattern_ok, rep.tau_prime_bound, rep.alpha2_root))
     header = ["player", "nd", "nw", "beta", "w_idle", "w_col", "tau_opponent",
               "sign_changes", "pattern_ok", "tau_prime_bound", "alpha2_root"]
     return header, rows
 
 
 def _run_simulate(opt: _Options):
-    config = _network(opt, opt.int("nd"), opt.int("nw"))
-    pair = StrategyPair(tau_d=opt.float("tau_d") or 0.0, tau_w=opt.float("tau_w") or 0.0)
+    config = _network(opt, opt.number("nd", int), opt.number("nw", int))
+    pair = StrategyPair(tau_d=opt.number("tau_d") or 0.0, tau_w=opt.number("tau_w") or 0.0)
     vector = AccessVector.homogeneous(config, pair)
     sim = SimConfig(
-        horizon_slots=opt.int("horizon"),
-        seed=opt.int("seed"),
-        warmup_slots=opt.int("warmup"),
+        horizon_slots=opt.number("horizon", int),
+        seed=opt.number("seed", int),
+        warmup_slots=opt.number("warmup", int),
     )
     lengths = config.slot_lengths()
     res = run_simulation(vector, lengths, sim)
@@ -365,41 +357,31 @@ _HANDLERS = {
 }
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
+def _cell(value, as_text: bool):
+    """A row value as CSV text or as a JSON value: None and NaN are missing, floats have 6 digits."""
+    if isinstance(value, float) and not math.isnan(value):
+        text = f"{value:.6g}"
+        return text if as_text else float(text)
+    if value is None or isinstance(value, float):  # missing, or NaN
+        return "" if as_text else None
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return ("true" if value else "false") if as_text else value
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return "" if math.isnan(value) else f"{value:.6g}"
-    return str(value)
-
-
-def _json_cell(value):
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, float):
-        return None if math.isnan(value) else float(f"{value:.6g}")
-    return value
+        value = int(value)
+    return str(value) if as_text else value
 
 
 def _render(header: list[str], rows: list[tuple], fmt: str) -> str:
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
+        lines = [",".join(header)] + [",".join([_cell(v, True) for v in row]) for row in rows]
         return "\n".join(lines) + "\n"
-    records = [dict(zip(header, map(_json_cell, row))) for row in rows]
+    records = [dict(zip(header, [_cell(v, False) for v in row])) for row in rows]
     return json.dumps(records, indent=2) + "\n"
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         opt = _Options(args)
         fmt = opt.choice("format", ("csv", "json"))
         out = opt.raw("out")

@@ -85,9 +85,11 @@ def rescale_age(age: np.ndarray, throughput: np.ndarray) -> np.ndarray:
     if age_hi == age_lo:
         return np.full_like(age, thr_lo)
     slope = (thr_hi - thr_lo) / (age_hi - age_lo)
-    if slope <= 0.0:
-        return age - age_lo + thr_lo
-    return thr_lo + slope * (age - age_lo)
+    out = np.subtract(age, age_lo)
+    if not slope <= 0.0:  # a slope <= 0 leaves a pure shift; a NaN one scales, to NaN
+        out *= slope
+    out += thr_lo
+    return out
 
 
 def rescale_age_per_opponent(age: np.ndarray, throughput: np.ndarray) -> np.ndarray:
@@ -104,10 +106,17 @@ def rescale_age_per_opponent(age: np.ndarray, throughput: np.ndarray) -> np.ndar
     thr_lo, thr_hi = float(throughput.min()), float(throughput.max())
     lo = age.min(axis=0, keepdims=True)
     span = age.max(axis=0, keepdims=True) - lo
+    # Mapped in place on the one output array: the build holds no grid beyond its results.
+    out = np.subtract(age, lo)
     if thr_hi == thr_lo:
-        return age - lo + thr_lo
-    safe = np.where(span > 0.0, span, 1.0)
-    return np.where(span > 0.0, thr_lo + (thr_hi - thr_lo) * (age - lo) / safe, thr_lo)
+        out += thr_lo
+        return out
+    flat = ~(span > 0.0)  # a constant column, or one whose span is NaN
+    out *= thr_hi - thr_lo
+    out /= np.where(flat, 1.0, span)
+    out += thr_lo
+    np.copyto(out, thr_lo, where=flat)
+    return out
 
 
 @dataclass(frozen=True)

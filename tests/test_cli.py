@@ -1,10 +1,17 @@
 """Command-line front end: schemas, determinism, precedence, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from csma_game import cli
 from csma_game.cli import main
+
+COMMANDS = ("metrics", "nash", "sweep", "stackelberg", "optimum", "verify", "simulate")
 
 
 def run_cli(argv, capsys):
@@ -224,3 +231,62 @@ def test_verify_underflowing_opponent_factor_is_runtime_error(capsys):
     assert code == 2
     assert err.startswith("error: ") and "underflows" in err
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: csma-game")
+    assert all(command in out for command in COMMANDS)
+
+
+def test_subcommand_help_lists_only_its_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nash", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: csma-game nash ")
+    assert "--eps-tie" in out and "--horizon" not in out
+
+
+@pytest.mark.parametrize("argv", [["metrics", "--leader", "dsrc"], [], ["bogus"]])
+def test_missing_unknown_or_foreign_arguments_are_config_errors(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_prefix_and_equals_flag_forms(capsys):
+    common = ["--nw", "1", "--tau-d", "0.4", "--tau-w", "0.3", "--seed", "2"]
+    code, long_form = run_cli(["simulate", "--nd", "1", "--horizon", "20000"] + common, capsys)
+    assert code == 0
+    assert run_cli(["simulate", "--nd=1", "--hor", "20000"] + common, capsys) == (0, long_form)
+
+
+def test_parser_has_only_the_subcommands_flags(monkeypatch, capsys):
+    added = []
+    real = cli._Parser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_argument", counting)
+    assert main(["nash", "--nd", "2", "--nw", "2"]) == 0
+    # the nash flags, the subcommand positional and -h/--help
+    assert len(added) <= len(cli._COMMAND_FLAGS["nash"]) + 2
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["nash", "--nd", "2", "--nw", "2"], "nd,nw,tau_d,tau_w,age,throughput,u_dsrc,u_wifi"),
+    (["--help"], "usage: csma-game [-h] {" + ",".join(COMMANDS) + "}"),
+], ids=["nash", "help"])
+def test_module_entry_point(argv, first_line):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "csma_game.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == first_line
+    assert proc.stderr == ""

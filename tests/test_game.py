@@ -122,6 +122,74 @@ class TestRescaleMaps:
         assert np.all(out[:, 0] == 0.1)
 
 
+def whole_array_rescale_age(age, throughput):
+    """``rescale_age`` as whole-array expressions, kept as the in-place map's oracle."""
+    age_lo, age_hi = float(age.min()), float(age.max())
+    thr_lo, thr_hi = float(throughput.min()), float(throughput.max())
+    if age_hi == age_lo:
+        return np.full_like(age, thr_lo)
+    slope = (thr_hi - thr_lo) / (age_hi - age_lo)
+    if slope <= 0.0:
+        return age - age_lo + thr_lo
+    return thr_lo + slope * (age - age_lo)
+
+
+def whole_array_rescale_age_per_opponent(age, throughput):
+    """``rescale_age_per_opponent`` as whole-array expressions, kept as the in-place map's oracle."""
+    thr_lo, thr_hi = float(throughput.min()), float(throughput.max())
+    lo = age.min(axis=0, keepdims=True)
+    span = age.max(axis=0, keepdims=True) - lo
+    if thr_hi == thr_lo:
+        return age - lo + thr_lo
+    safe = np.where(span > 0.0, span, 1.0)
+    return np.where(span > 0.0, thr_lo + (thr_hi - thr_lo) * (age - lo) / safe, thr_lo)
+
+
+def raw_surfaces(nd, nw, grid):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        surf = build_surfaces(NetworkConfig(nd, nw, 0.001), grid, rescale=lambda age, thr: age)
+    return surf.age, surf.throughput
+
+
+class TestInPlaceRescale:
+    FINE = GridSpec(0.001, 0.999, 0.001)
+
+    @pytest.mark.parametrize("maps", [
+        (rescale_age, whole_array_rescale_age),
+        (rescale_age_per_opponent, whole_array_rescale_age_per_opponent),
+    ], ids=["range", "per-opponent"])
+    @pytest.mark.parametrize("case", ["free-999", "costed-999", "nonfinite-400", "constant-throughput"])
+    def test_same_bits_as_whole_array_expressions(self, maps, case):
+        if case == "free-999":
+            age, thr = raw_surfaces(12, 4, self.FINE)
+        elif case == "costed-999":  # the surfaces of the (20, 20) costed game; cost does not enter the map
+            age, thr = raw_surfaces(20, 20, self.FINE)
+        elif case == "nonfinite-400":  # infinite age cells; 17 columns have a NaN span
+            age, thr = raw_surfaces(400, 400, GridSpec())
+            assert np.count_nonzero(~np.isfinite(age)) == 4587
+        else:  # a constant throughput, and one constant age column
+            age, _ = raw_surfaces(2, 2, GridSpec())
+            age = age.copy()
+            age[:, 3] = 4.0
+            thr = np.full_like(age, 0.25)
+        rescale, oracle = maps
+        with np.errstate(invalid="ignore"):
+            got, want = rescale(age, thr), oracle(age, thr)
+        assert got.tobytes() == want.tobytes()
+
+    def test_per_opponent_build_holds_no_extra_grid(self):
+        cfg = NetworkConfig(20, 20, 0.004, w_idle=0.004, w_col=1.004)
+        build_surfaces(cfg, rescale=rescale_age_per_opponent)  # first-call allocations
+        tracemalloc.start()
+        try:
+            surf = build_surfaces(cfg, self.FINE, rescale=rescale_age_per_opponent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (surf.age, surf.throughput, surf.cost, surf.age_rescaled))
+        assert peak < returned + 0.1 * surf.age.nbytes
+
+
 class TestSurfaces:
     def test_game_needs_both_networks(self):
         with pytest.raises(ValueError):
