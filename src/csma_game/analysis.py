@@ -17,16 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .game import GridSpec
-from .model import DSRC, NetworkConfig, StrategyPair, _Axis, _require_player
+from .model import DSRC, NetworkConfig, StrategyPair, _Axis, _Cells, _require_player
 
 # Scan points closer than this to 0 or 1 are dropped: the 1/tau^2 term
 # swamps double precision in the last few ulps of the interval.
 _EDGE_MARGIN = 1e-4
 _ZERO_BRIDGE = 1e-12
+_NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -86,62 +88,46 @@ def _cost_slope_parts(own, opp, config: NetworkConfig):
     return alpha_col, alpha_idle, opp_prime
 
 
-def _age_derivative_parts(tau_d, tau_w, config: NetworkConfig):
-    beta = config.beta
-    d, w = _Axis(tau_d, config.n_dsrc), _Axis(tau_w, config.n_wifi)
-    denom = 1.0 + beta - d.q * w.q
-    alpha1 = 0.5 * beta * (1.0 + beta) * w.q * d.n * d.r1 / denom**2
-    alpha2 = (1.0 + (1.0 + beta) * (d.n * d.tau - 1.0) / (w.q * d.q)) / d.tau**2
-    alpha_col, alpha_idle, q_w_prime = _cost_slope_parts(d, w, config)
-    return alpha1, alpha2, alpha_col, alpha_idle, w.q, q_w_prime
+def _age_slope_parts(c: _Cells):
+    """The curvature and update-rate terms of d(age)/d tau_d."""
+    beta, d, w = c.beta, c.d, c.w
+    alpha1 = 0.5 * beta * (1.0 + beta) * w.q * d.n * d.r1 / (1.0 + beta - c.p_idle) ** 2
+    alpha2 = (1.0 + (1.0 + beta) * (d.n * d.tau - 1.0) / c.p_idle) / d.tau**2
+    return alpha1, alpha2
 
 
-def _wifi_derivative_parts(tau_d, tau_w, config: NetworkConfig):
-    beta = config.beta
-    d, w = _Axis(tau_d, config.n_dsrc), _Axis(tau_w, config.n_wifi)
-    denom = 1.0 - d.q * w.q + beta
-    alpha = d.q * (1.0 + beta) * w.r2 * (d.q * w.q + (1.0 + beta) * (w.tau * w.n - 1.0)) / denom**2
-    alpha_col, alpha_idle, q_d_prime = _cost_slope_parts(w, d, config)
-    return alpha, alpha_col, alpha_idle, d.q, q_d_prime
+def _wifi_slope(c: _Cells):
+    """d(-throughput)/d tau_w."""
+    beta, d, w = c.beta, c.d, c.w
+    return d.q * (1.0 + beta) * w.r2 * (c.p_idle + (1.0 + beta) * (w.tau * w.n - 1.0)) / c.mean_length**2
 
 
 def age_payoff_derivative_terms(pair: StrategyPair, config: NetworkConfig) -> AgeDerivativeTerms:
     """Term decomposition of the age player's negated payoff derivative."""
     if not 0.0 < pair.tau_d < 1.0:
         raise ValueError("tau_d must be interior to (0, 1)")
-    a1, a2, a_col, a_idle, q_w, q_w_prime = _age_derivative_parts(pair.tau_d, pair.tau_w, config)
-    return AgeDerivativeTerms(
-        alpha1=float(a1),
-        alpha2=float(a2),
-        alpha_col=float(a_col),
-        alpha_idle=float(a_idle),
-        q_w=float(q_w),
-        q_w_prime=float(q_w_prime),
-        total=float(a1 + a2 + a_col - a_idle),
-    )
+    c = _Cells.at(pair, config)
+    a1, a2 = _age_slope_parts(c)
+    a_col, a_idle, q_w_prime = _cost_slope_parts(c.d, c.w, config)
+    return AgeDerivativeTerms(*map(float, (a1, a2, a_col, a_idle, c.w.q, q_w_prime, a1 + a2 + a_col - a_idle)))
 
 
 def wifi_payoff_derivative_terms(pair: StrategyPair, config: NetworkConfig) -> ThrDerivativeTerms:
     """Term decomposition of the throughput player's negated payoff derivative."""
     if not 0.0 < pair.tau_w < 1.0:
         raise ValueError("tau_w must be interior to (0, 1)")
-    a, a_col, a_idle, q_d, q_d_prime = _wifi_derivative_parts(pair.tau_d, pair.tau_w, config)
-    return ThrDerivativeTerms(
-        alpha=float(a),
-        alpha_col=float(a_col),
-        alpha_idle=float(a_idle),
-        q_d=float(q_d),
-        q_d_prime=float(q_d_prime),
-        total=float(a + a_col - a_idle),
-    )
+    c = _Cells.at(pair, config)
+    a = _wifi_slope(c)
+    a_col, a_idle, q_d_prime = _cost_slope_parts(c.w, c.d, config)
+    return ThrDerivativeTerms(*map(float, (a, a_col, a_idle, c.d.q, q_d_prime, a + a_col - a_idle)))
 
 
-def _check_landmark_args(n_d: int, beta: float, q_w: float) -> None:
+def _check_landmark_args(n_d: int, beta: float, q_w) -> None:
     if n_d < 1:
         raise ValueError("n_d must be at least 1")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
-    if not 0.0 < q_w <= 1.0:
+    if not np.all((0.0 < q_w) & (q_w <= 1.0)):
         raise ValueError("q_w must lie in (0, 1]")
 
 
@@ -162,24 +148,25 @@ def tau_prime_upper_bound(beta: float, n_d: int, q_w: float = 1.0) -> float | No
 def alpha2_root(n_d: int, beta: float, q_w: float = 1.0, tol: float = 1e-12) -> float:
     """Zero of the update-rate term: solves 1 - n_d*t = (q_w/(1+beta)) (1-t)^n_d.
 
-    The bracket [0, 1/n_d] always contains the root: the left end is
-    1 - q_w/(1+beta) > 0 and the right end is non-positive. Plain bisection
-    to ``tol`` interval width.
+    With s = q_w/(1+beta) < 1, g(t) = 1 - n_d t - s (1-t)^n_d is decreasing and
+    concave on [0, 1/n_d] and g(1/n_d) <= 0, so Newton's method from 1/n_d falls
+    monotonically onto the root. It stops once a step is at most ``tol`` (or
+    after ``_NEWTON_STEPS``); an array ``q_w`` gives the root of each entry.
     """
+    q_w = np.asarray(q_w, dtype=float)
     _check_landmark_args(n_d, beta, q_w)
-    scale = q_w / (1.0 + beta)
-
-    def f(t: float) -> float:
-        return 1.0 - n_d * t - scale * _Axis(t, n_d).q
-
-    lo, hi = 0.0, 1.0 / n_d
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    s = q_w / (1.0 + beta)
+    t = np.full_like(s, 1.0 / n_d)
+    moving = np.ones_like(t, dtype=bool)  # an entry stops as it would on its own
+    for _ in range(_NEWTON_STEPS):
+        one = 1.0 - t
+        s_r1 = s * one ** (n_d - 1)
+        step = (1.0 - n_d * t - s_r1 * one) / (n_d - n_d * s_r1)  # -g(t) / g'(t)
+        t = np.where(moving, t + step, t)
+        moving &= np.abs(step) > tol
+        if not moving.any():
+            break
+    return float(t) if t.ndim == 0 else t
 
 
 def _effective_signs(values: np.ndarray) -> np.ndarray:
@@ -189,21 +176,14 @@ def _effective_signs(values: np.ndarray) -> np.ndarray:
     if decisive.size == 0:
         return np.zeros_like(signs)
     bridged = np.flatnonzero(np.abs(values) < _ZERO_BRIDGE)
-    if bridged.size:
-        pos = np.searchsorted(decisive, bridged)
-        left = decisive[np.clip(pos - 1, 0, decisive.size - 1)]
-        right = decisive[np.clip(pos, 0, decisive.size - 1)]
-        nearest = np.where(bridged - left <= right - bridged, left, right)
-        signs[bridged] = signs[nearest]
+    pos = np.searchsorted(decisive, bridged)
+    left = decisive[np.clip(pos - 1, 0, decisive.size - 1)]
+    right = decisive[np.clip(pos, 0, decisive.size - 1)]
+    signs[bridged] = signs[np.where(bridged - left <= right - bridged, left, right)]  # the nearest decisive entry
     return signs
 
 
-def verify_quasiconcavity(
-    player: str,
-    config: NetworkConfig,
-    fixed_opponent: float,
-    scan: GridSpec | None = None,
-) -> QuasiConcavityReport:
+def verify_quasiconcavity(player: str, config: NetworkConfig, fixed_opponent, scan: GridSpec | None = None):
     """Scan the negated-payoff derivative along one axis and check unimodality.
 
     A payoff that rises then falls in the player's own strategy makes the
@@ -211,38 +191,46 @@ def verify_quasiconcavity(
     change is allowed and it must run negative to positive. Raises
     FloatingPointError when the opponent's idle factor (1-tau)^n_w, which
     locates the update-rate root, underflows to 0.
+
+    ``fixed_opponent`` is one value, which gives one report, or a sequence,
+    which gives a tuple of reports in its order. A sequence is one (values x
+    scan points) array, with each report what its value alone would give;
+    the values are checked in order first, so the first bad one raises.
     """
     _require_player(player)
-    if not 0.0 <= fixed_opponent < 1.0:
-        raise ValueError("fixed opponent strategy must lie in [0, 1)")
-    scan = scan if scan is not None else GridSpec(lo=0.001, hi=0.999, step=0.001)
-    pts = scan.points()
-    pts = pts[(pts >= _EDGE_MARGIN) & (pts <= 1.0 - _EDGE_MARGIN)]
-    if player == DSRC:
-        if _Axis(fixed_opponent, config.n_wifi).q == 0.0:  # checked first: the terms divide by it
+    values = tuple(fixed_opponent) if np.ndim(fixed_opponent) else (fixed_opponent,)
+    dsrc = player == DSRC
+    own_n, opp_n = (config.n_dsrc, config.n_wifi) if dsrc else (config.n_wifi, config.n_dsrc)
+    axes, bound = [], None
+    for tau in values:
+        if not 0.0 <= tau < 1.0:
+            raise ValueError("fixed opponent strategy must lie in [0, 1)")
+        axes.append(_Axis(tau, opp_n))
+        if dsrc and axes[-1].q == 0.0:  # checked first: the terms divide by it
             raise FloatingPointError(
-                f"(1-{fixed_opponent})^{config.n_wifi} underflows to 0, so the update-rate "
+                f"(1-{tau})^{config.n_wifi} underflows to 0, so the update-rate "
                 "root cannot be located for this opponent strategy"
             )
-        a1, a2, a_col, a_idle, q_w, _ = _age_derivative_parts(pts, fixed_opponent, config)
-        totals = a1 + a2 + a_col - a_idle
-        bound = tau_prime_upper_bound(config.beta, config.n_dsrc)
-        root = alpha2_root(config.n_dsrc, config.beta, q_w=float(q_w))
+        if dsrc and len(axes) == 1:  # its n_d check follows the first value's, as in a one-value scan
+            bound = tau_prime_upper_bound(config.beta, config.n_dsrc)
+    scan = scan if scan is not None else GridSpec(lo=0.001, hi=0.999, step=0.001)
+    pts = scan.points()
+    own = _Axis(pts[(pts >= _EDGE_MARGIN) & (pts <= 1.0 - _EDGE_MARGIN)], own_n)
+    # The opponent values' factors as one column, each entry from its value's own scalar ``_Axis``.
+    column = {k: np.array([getattr(a, k) for a in axes]).reshape(-1, 1) for k in ("tau", "q", "r1")}
+    opp = SimpleNamespace(n=opp_n, **column)
+    if dsrc:
+        totals = np.add(*_age_slope_parts(_Cells(own, opp, config.beta)))
+        roots = alpha2_root(config.n_dsrc, config.beta, q_w=opp.q[:, 0]).tolist()
     else:
-        a, a_col, a_idle, _, _ = _wifi_derivative_parts(fixed_opponent, pts, config)
-        totals = a + a_col - a_idle
-        bound = None
-        root = None
-    signs = _effective_signs(np.asarray(totals))
-    changes = int(np.count_nonzero(np.diff(signs) != 0))
-    ok = changes == 0 or (changes == 1 and signs[0] < 0 and signs[-1] > 0)
-    return QuasiConcavityReport(
-        player=player,
-        config=config,
-        fixed_opponent=fixed_opponent,
-        scan=scan,
-        sign_change_count=changes,
-        sign_pattern_ok=bool(ok),
-        tau_prime_bound=bound,
-        alpha2_root=root,
-    )
+        totals, roots = _wifi_slope(_Cells(opp, own, config.beta)), [None] * len(values)
+    if config.w_col or config.w_idle:  # zero weights add +-0.0, which changes no sign
+        a_col, a_idle, _ = _cost_slope_parts(own, opp, config)
+        totals = totals + a_col - a_idle
+    signs = np.sign(totals)
+    for r in np.flatnonzero(~(np.abs(totals) >= _ZERO_BRIDGE).all(axis=1)):  # near-zero or NaN entries
+        signs[r] = _effective_signs(totals[r])
+    changes = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1).tolist()
+    reports = tuple(QuasiConcavityReport(player, config, tau, scan, n, n == 0 or (n == 1 and bool(s[0] < 0 < s[-1])),
+                                         bound, root) for tau, n, s, root in zip(values, changes, signs, roots))
+    return reports if np.ndim(fixed_opponent) else reports[0]

@@ -34,7 +34,7 @@ from .metrics import (
     inter_update_moments,
     per_node_throughput,
 )
-from .model import DSRC, WIFI, AccessVector, NetworkConfig, StrategyPair, _Axis
+from .model import DSRC, WIFI, AccessVector, NetworkConfig, StrategyPair, _Axis, _Cells
 from .simulate import NoProgressError, SimConfig, run_simulation
 
 
@@ -283,11 +283,11 @@ def _run_metrics(opt: _Options):
         td, tw = pts, np.full_like(pts, tau_w)
     else:
         td, tw = np.full_like(pts, tau_d), pts
-    d, w = _Axis(td, config.n_dsrc), _Axis(tw, config.n_wifi)
+    cells = _Cells(_Axis(td, config.n_dsrc), _Axis(tw, config.n_wifi), config.beta)
     # A missing age is NaN, which renders as an empty cell.
     has_age = config.n_dsrc >= 1 and bool((td > 0.0).all())
-    ages = _aoi_expr(d, w, config.beta) if has_age else np.full_like(pts, np.nan)
-    thrs = _throughput_expr(d, w, config.beta) if config.n_wifi >= 1 else np.zeros_like(pts)
+    ages = _aoi_expr(cells) if has_age else np.full_like(pts, np.nan)
+    thrs = _throughput_expr(cells) if config.n_wifi >= 1 else np.zeros_like(pts)
     # Rows of Python floats, which format faster than numpy scalars.
     rows = zip(td.tolist(), tw.tolist(), ages.tolist(), thrs.tolist())
     return ["tau_d", "tau_w", "age", "throughput"], list(rows)
@@ -302,10 +302,10 @@ def _run_verify(opt: _Options):
     configs = [_network(opt, nd, nw) for nd, nw in cells]
     taus = opt.numbers("tau_opp")
     rows = []
-    for ply, config, tau in product(players, configs, taus):
-        rep = verify_quasiconcavity(ply, config, tau, scan=scan)
-        rows.append((ply, config.n_dsrc, config.n_wifi, config.beta, config.w_idle, config.w_col, tau,
-                     rep.sign_change_count, rep.sign_pattern_ok, rep.tau_prime_bound, rep.alpha2_root))
+    for ply, config in product(players, configs):  # one scan per player and cell, over every opponent value
+        for tau, rep in zip(taus, verify_quasiconcavity(ply, config, taus, scan=scan)):
+            rows.append((ply, config.n_dsrc, config.n_wifi, config.beta, config.w_idle, config.w_col, tau,
+                         rep.sign_change_count, rep.sign_pattern_ok, rep.tau_prime_bound, rep.alpha2_root))
     header = ["player", "nd", "nw", "beta", "w_idle", "w_col", "tau_opponent",
               "sign_changes", "pattern_ok", "tau_prime_bound", "alpha2_root"]
     return header, rows

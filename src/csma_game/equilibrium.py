@@ -25,7 +25,7 @@ import numpy as np
 
 from .game import GridSpec, PayoffSurfaces
 from .metrics import _aoi_expr, _throughput_expr
-from .model import DSRC, WIFI, NetworkConfig, StrategyPair, _Axis, _require_player
+from .model import DSRC, WIFI, NetworkConfig, StrategyPair, _Axis, _Cells, _require_player
 
 
 @dataclass(frozen=True)
@@ -199,15 +199,10 @@ def single_network_optimum(
     grid = grid if grid is not None else GridSpec()
     NetworkConfig(n_dsrc=n, n_wifi=0, beta=beta)  # rejects beta outside (0, 1)
     absent = _Axis(0.0, 0)
-    if kind == DSRC:
 
-        def loss(taus):
-            return _aoi_expr(_Axis(taus, n), absent, beta)
-
-    else:
-
-        def loss(taus):
-            return -_throughput_expr(absent, _Axis(taus, n), beta)
+    def loss(taus):
+        own = _Axis(taus, n)
+        return _aoi_expr(_Cells(own, absent, beta)) if kind == DSRC else -_throughput_expr(_Cells(absent, own, beta))
 
     pts = grid.points()
     k = int(np.argmin(loss(pts)))

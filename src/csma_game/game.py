@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .metrics import _aoi_expr, _throughput_expr
-from .model import DSRC, NetworkConfig, StrategyPair, _Axis, _require_player
+from .model import DSRC, NetworkConfig, StrategyPair, _Axis, _Cells, _require_player
 
 RescaleFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -59,17 +59,20 @@ class GridSpec:
         return k
 
 
-def _cost_expr(d, w, config: NetworkConfig):
-    p_idle = d.q * w.q
-    succ_d = d.n * d.tau * d.r1 * w.q
-    succ_w = w.n * w.tau * w.r1 * d.q
-    return config.w_idle * p_idle + config.w_col * (1.0 - p_idle - succ_d - succ_w)
+def _cost_expr(c, config: NetworkConfig, out=None):
+    """Wastage cost on the shared factors ``c`` of a ``_Cells``, written into ``out`` if given."""
+    cost = np.multiply(config.w_idle, c.p_idle, out=out)
+    if config.w_col:  # with a zero weight the finite collision term adds +-0.0, which changes no bit
+        collided = c.busy - c.d.n * c.d.tau * c.d.r1 * c.w.q
+        collided -= c.w.n * c.w.tau * c.w.r1 * c.d.q
+        collided *= config.w_col
+        cost += collided
+    return cost
 
 
 def wastage_cost(pair: StrategyPair, config: NetworkConfig) -> float:
     """Idle plus collision penalty charged identically to both players."""
-    d, w = _Axis(pair.tau_d, config.n_dsrc), _Axis(pair.tau_w, config.n_wifi)
-    return float(_cost_expr(d, w, config))
+    return float(_cost_expr(_Cells.at(pair, config), config))
 
 
 def rescale_age(age: np.ndarray, throughput: np.ndarray) -> np.ndarray:
@@ -173,12 +176,12 @@ def build_surfaces(
 ) -> PayoffSurfaces:
     """Evaluate all four surfaces on the grid.
 
-    On a grid of more than ``_BLOCK_CELLS`` cells, age, throughput and cost
-    are filled in blocks of tau_d rows, each the closed forms on that
-    block's factors, so their temporaries stay small; every cell is the same
-    as a whole-grid evaluation gives. ``rescale`` may be swapped for any
-    other strictly increasing affine map of the age surface; with zero cost
-    weights the equilibria do not depend on the choice.
+    Age, throughput and cost are filled in blocks of at least one tau_d row
+    and at most ``_BLOCK_CELLS`` cells, so the closed forms' temporaries stay
+    small; they share each block's ``_Cells`` and write into the surfaces, and
+    every cell is the same as a whole-grid evaluation gives. ``rescale`` may
+    be swapped for any other strictly increasing affine map of the age
+    surface; with zero cost weights the equilibria do not depend on the choice.
     """
     if config.n_dsrc < 1 or config.n_wifi < 1:
         raise ValueError("the game needs at least one node in each network")
@@ -186,19 +189,14 @@ def build_surfaces(
     pts = grid.points()
     # Factors on a column (tau_d) and a row (tau_w); the surfaces are their outer products.
     w = _Axis(pts[None, :], config.n_wifi)
-
-    def closed_forms(rows: slice):
-        d = _Axis(pts[rows, None], config.n_dsrc)
-        return _aoi_expr(d, w, config.beta), _throughput_expr(d, w, config.beta), _cost_expr(d, w, config)
-
+    age, throughput, cost = (np.empty((pts.size, pts.size)) for _ in range(3))
     step = max(1, _BLOCK_CELLS // pts.size)
-    if step >= pts.size:  # one block: its results are the surfaces, with no copy
-        age, throughput, cost = closed_forms(slice(None))
-    else:
-        age, throughput, cost = (np.empty((pts.size, pts.size)) for _ in range(3))
-        for lo in range(0, pts.size, step):
-            block = slice(lo, lo + step)
-            age[block], throughput[block], cost[block] = closed_forms(block)
+    for lo in range(0, pts.size, step):
+        rows = slice(lo, lo + step)
+        cells = _Cells(_Axis(pts[rows, None], config.n_dsrc), w, config.beta)
+        _aoi_expr(cells, out=age[rows])
+        _throughput_expr(cells, out=throughput[rows])
+        _cost_expr(cells, config, out=cost[rows])
     rescaled = (rescale if rescale is not None else rescale_age)(age, throughput)
     for arr in (age, throughput, cost, rescaled):
         arr.setflags(write=False)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import AccessVector, NetworkConfig, SlotLengths, StrategyPair, _Axis
+import numpy as np
+
+from .model import AccessVector, NetworkConfig, SlotLengths, StrategyPair, _Cells
 
 
 @dataclass(frozen=True)
@@ -94,27 +96,28 @@ def aoi_node(v: AccessVector, s: SlotLengths, i: int) -> float:
 
 
 # Homogeneous closed forms with short idle slots (beta) and success/collision
-# slots of 1 + beta. ``d`` and ``w`` are the DSRC and WiFi axis factors.
+# slots of 1 + beta on the factors of a ``_Cells``, written into ``out`` if given.
 
 
-def _throughput_expr(d, w, beta):
-    succ_w = w.solo * d.q
-    return succ_w * (1.0 + beta) / (1.0 - d.q * w.q + beta)
+def _throughput_expr(c, out=None):
+    succ_w = c.w.solo * c.d.q
+    succ_w *= 1.0 + c.beta
+    return np.divide(succ_w, c.mean_length, out=out)
 
 
-def _aoi_expr(d, w, beta):
-    p_idle = d.q * w.q
-    succ_d = d.solo * w.q
-    busy = 1.0 - p_idle
-    return (busy + beta) / succ_d + 0.5 * beta + (1.0 + beta) * busy / (2.0 * (busy + beta))
+def _aoi_expr(c, out=None):
+    rate = c.mean_length / (c.d.solo * c.w.q)
+    rate += 0.5 * c.beta
+    tail = (1.0 + c.beta) * c.busy
+    tail /= 2.0 * c.mean_length
+    return np.add(rate, tail, out=out)
 
 
 def throughput_closed_form(pair: StrategyPair, config: NetworkConfig) -> float:
     """Per-node WiFi throughput for homogeneous strategies (short-idle slots)."""
     if config.n_wifi == 0:
         return 0.0
-    d, w = _Axis(pair.tau_d, config.n_dsrc), _Axis(pair.tau_w, config.n_wifi)
-    return float(_throughput_expr(d, w, config.beta))
+    return float(_throughput_expr(_Cells.at(pair, config)))
 
 
 def aoi_closed_form(pair: StrategyPair, config: NetworkConfig) -> float:
@@ -123,5 +126,4 @@ def aoi_closed_form(pair: StrategyPair, config: NetworkConfig) -> float:
         raise ValueError("age is defined only when the network has a node")
     if pair.tau_d <= 0.0:
         raise ValueError("tau_d must be positive; the tagged node never updates")
-    d, w = _Axis(pair.tau_d, config.n_dsrc), _Axis(pair.tau_w, config.n_wifi)
-    return float(_aoi_expr(d, w, config.beta))
+    return float(_aoi_expr(_Cells.at(pair, config)))

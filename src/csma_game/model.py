@@ -10,8 +10,8 @@ layered on top.
 Each slot probability has one formula here. ``_slot_kernels`` computes all
 of them for an arbitrary access vector in one pass; ``_Axis`` computes the
 ``(1-tau)^n`` contention factors of one homogeneous network once per
-strategy axis, and the homogeneous closed forms, the payoff surfaces and
-the derivative terms combine those factors.
+strategy axis and ``_Cells`` the slot factors of a pair of axes; the closed
+forms, the payoff surfaces and the derivative terms combine those factors.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ class StrategyPair:
     tau_w: float
 
     def __post_init__(self) -> None:
-        for name, tau in (("tau_d", self.tau_d), ("tau_w", self.tau_w)):
-            if not 0.0 <= tau < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {tau}")
+        if not 0.0 <= self.tau_d < 1.0 > self.tau_w >= 0.0:
+            name, tau = ("tau_w", self.tau_w) if 0.0 <= self.tau_d < 1.0 else ("tau_d", self.tau_d)
+            raise ValueError(f"{name} must lie in [0, 1), got {tau}")
 
 
 @dataclass(frozen=True)
@@ -190,6 +190,22 @@ class _Axis:
         self.r1 = one ** (n - 1)
         self.solo = tau * self.r1  # one given node alone transmits in its network
         self.r2 = one ** (n - 2)
+
+
+class _Cells:
+    """Slot factors of (tau_d, tau_w) cells from the DSRC and WiFi ``_Axis``
+    ``d`` and ``w``; a tau_d column and a tau_w row give a whole grid."""
+
+    def __init__(self, d: _Axis, w: _Axis, beta: float):
+        self.d, self.w, self.beta = d, w, beta
+        self.p_idle = d.q * w.q  # nobody transmits
+
+    @classmethod
+    def at(cls, pair: StrategyPair, config: NetworkConfig) -> "_Cells":
+        return cls(_Axis(pair.tau_d, config.n_dsrc), _Axis(pair.tau_w, config.n_wifi), config.beta)
+
+    busy = cached_property(lambda self: 1.0 - self.p_idle)
+    mean_length = cached_property(lambda self: self.busy + self.beta)  # idle slots of beta, others of 1 + beta
 
 
 def joint_idle_prob(v: AccessVector) -> float:

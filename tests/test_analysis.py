@@ -1,17 +1,23 @@
 """Closed-form derivatives vs finite differences, landmark roots, sign scans.
 
 ``alpha1_rewritten`` below is a second derivation of the curvature term; it
-lives here as an oracle for the library's form.
+lives here as an oracle for the library's form. ``bisection_alpha2_root``
+and ``one_value_scan`` are the bisection root and the per-opponent-value
+sign scan that the library used before its Newton root and its
+(opponent values x scan points) scan; they are kept as oracles of both.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csma_game import analysis
 from csma_game.analysis import (
+    QuasiConcavityReport,
+    _effective_signs,
     age_payoff_derivative_terms,
     alpha2_root,
     tau_prime_upper_bound,
@@ -20,7 +26,7 @@ from csma_game.analysis import (
 )
 from csma_game.game import GridSpec, wastage_cost
 from csma_game.metrics import aoi_closed_form, throughput_closed_form
-from csma_game.model import DSRC, WIFI, NetworkConfig, StrategyPair
+from csma_game.model import DSRC, WIFI, NetworkConfig, StrategyPair, _Axis
 
 EPS = np.finfo(float).eps
 
@@ -260,3 +266,124 @@ def test_root_exceeds_bound_wherever_bound_exists():
             bound = tau_prime_upper_bound(beta, n_d)
             if bound is not None:
                 assert alpha2_root(n_d, beta, q_w=1.0) > bound
+
+
+def bisection_alpha2_root(n_d, beta, q_w=1.0, tol=1e-12):
+    """The root by bisection of [0, 1/n_d] to ``tol`` interval width."""
+    scale = q_w / (1.0 + beta)
+
+    def f(t):
+        return 1.0 - n_d * t - scale * (1.0 - t) ** n_d
+
+    lo, hi = 0.0, 1.0 / n_d
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def one_value_scan(player, config, fixed_opponent, scan=None):
+    """(sign changes, pattern ok, bound, root) of one opponent value's scan, term by term."""
+    scan = scan if scan is not None else GridSpec(lo=0.001, hi=0.999, step=0.001)
+    pts = scan.points()
+    pts = pts[(pts >= 1e-4) & (pts <= 1.0 - 1e-4)]
+    beta = config.beta
+    if player == DSRC:
+        own, opp = d, w = _Axis(pts, config.n_dsrc), _Axis(fixed_opponent, config.n_wifi)
+        denom = 1.0 + beta - d.q * w.q
+        alpha1 = 0.5 * beta * (1.0 + beta) * w.q * d.n * d.r1 / denom**2
+        alpha2 = (1.0 + (1.0 + beta) * (d.n * d.tau - 1.0) / (w.q * d.q)) / d.tau**2
+        slope = alpha1 + alpha2
+    else:
+        own, opp = w, d = _Axis(pts, config.n_wifi), _Axis(fixed_opponent, config.n_dsrc)
+        denom = 1.0 - d.q * w.q + beta
+        slope = d.q * (1.0 + beta) * w.r2 * (d.q * w.q + (1.0 + beta) * (w.tau * w.n - 1.0)) / denom**2
+    opp_prime = opp.n * opp.tau * opp.r1
+    alpha_col = config.w_col * (opp.q * own.n * (own.n - 1) * own.tau * own.r2 + opp_prime * own.n * own.r1)
+    alpha_idle = config.w_idle * opp.q * own.n * own.r1
+    signs = _effective_signs(np.asarray(slope + alpha_col - alpha_idle))
+    changes = int(np.count_nonzero(np.diff(signs) != 0))
+    ok = changes == 0 or (changes == 1 and signs[0] < 0 and signs[-1] > 0)
+    if player == WIFI:
+        return changes, bool(ok), None, None
+    root = bisection_alpha2_root(config.n_dsrc, beta, q_w=float(w.q))
+    return changes, bool(ok), tau_prime_upper_bound(beta, config.n_dsrc), root
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 2000),
+    st.floats(1e-4, 0.999, exclude_min=True, exclude_max=True),
+    st.floats(1e-300, 1.0),
+)
+def test_newton_root_matches_bisection(n_d, beta, q_w):
+    assert abs(alpha2_root(n_d, beta, q_w=q_w) - bisection_alpha2_root(n_d, beta, q_w=q_w)) <= 1e-12
+
+
+def test_newton_root_over_an_array_is_the_root_of_each_entry():
+    q_w = np.array([1e-300, 0.2, 0.5, 1.0])
+    roots = alpha2_root(7, 0.01, q_w=q_w)
+    assert roots.shape == q_w.shape
+    assert roots.tolist() == [alpha2_root(7, 0.01, q_w=float(q)) for q in q_w]
+    with pytest.raises(ValueError, match="q_w"):
+        alpha2_root(7, 0.01, q_w=np.array([0.5, 0.0]))
+
+
+def assert_matches_oracle(reports, player, config, opponents, scan=None):
+    assert len(reports) == len(opponents)
+    for rep, tau in zip(reports, opponents):
+        changes, ok, bound, root = one_value_scan(player, config, tau, scan)
+        assert rep.fixed_opponent == tau
+        assert (rep.sign_change_count, rep.sign_pattern_ok, rep.tau_prime_bound) == (changes, ok, bound)
+        if root is None:
+            assert rep.alpha2_root is None
+        else:
+            assert abs(rep.alpha2_root - root) <= 1e-12
+
+
+CATALOG_OPPONENTS = tuple(k / 10.0 for k in range(1, 10))
+
+
+@pytest.mark.parametrize("player", [DSRC, WIFI])
+@pytest.mark.parametrize("weights", [(0.0, 0.0), (0.001, 1.001)], ids=["free", "costed"])
+def test_sequence_scan_matches_one_value_oracle(player, weights):
+    for n_d in (1, 2, 5):
+        for n_w in (1, 2, 5):
+            cfg = NetworkConfig(n_d, n_w, 0.001, *weights)
+            reports = verify_quasiconcavity(player, cfg, CATALOG_OPPONENTS)
+            assert isinstance(reports, tuple)
+            assert_matches_oracle(reports, player, cfg, CATALOG_OPPONENTS)
+
+
+def test_near_zero_rows_are_bridged_as_the_oracle_does(monkeypatch):
+    # (1-tau_w)^48 underflows towards 0 at the top of the scan, so the wifi slope has entries below 1e-12
+    cfg = NetworkConfig(2, 50, 0.001, 0.001, 1.001)
+    rows = []
+
+    def recording(values):
+        rows.append(values)
+        return _effective_signs(values)
+
+    monkeypatch.setattr(analysis, "_effective_signs", recording)
+    reports = verify_quasiconcavity(WIFI, cfg, CATALOG_OPPONENTS)
+    assert len(rows) == len(CATALOG_OPPONENTS) and all(np.any(np.abs(r) < 1e-12) for r in rows)
+    assert_matches_oracle(reports, WIFI, cfg, CATALOG_OPPONENTS)
+
+
+def test_one_value_gives_one_report():
+    cfg = NetworkConfig(2, 2, 0.001)
+    report = verify_quasiconcavity(DSRC, cfg, 0.2)
+    assert isinstance(report, QuasiConcavityReport)
+    assert report == verify_quasiconcavity(DSRC, cfg, [0.2])[0]
+    assert verify_quasiconcavity(DSRC, cfg, []) == ()
+
+
+def test_sequence_raises_the_first_bad_values_error():
+    cfg = NetworkConfig(2, 400, 0.001)
+    with pytest.raises(FloatingPointError, match=r"\(1-0.9\)\^400"):
+        verify_quasiconcavity(DSRC, cfg, [0.5, 0.9, 1.0])
+    with pytest.raises(ValueError, match="fixed opponent"):
+        verify_quasiconcavity(DSRC, cfg, [0.5, 1.0, 0.9])

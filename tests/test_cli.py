@@ -10,6 +10,7 @@ import pytest
 
 from csma_game import cli
 from csma_game.cli import main
+from csma_game.model import DSRC, WIFI, NetworkConfig
 
 COMMANDS = ("metrics", "nash", "sweep", "stackelberg", "optimum", "verify", "simulate")
 
@@ -289,4 +290,65 @@ def test_module_entry_point(argv, first_line):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == first_line
+    assert proc.stderr == ""
+
+
+def oracle_verify_rows(nd_list, nw_list, w_idle, w_col, opponents=tuple(k / 10.0 for k in range(1, 10))):
+    """The verify rows from one oracle scan per player, cell and opponent value."""
+    from test_analysis import one_value_scan
+
+    rows = []
+    for player in (DSRC, WIFI):
+        for nd, nw in sorted((nd, nw) for nd in nd_list for nw in nw_list):
+            config = NetworkConfig(nd, nw, 0.001, w_idle, w_col)
+            for tau in opponents:
+                rows.append((player, nd, nw, 0.001, w_idle, w_col, tau) + one_value_scan(player, config, tau))
+    header = ["player", "nd", "nw", "beta", "w_idle", "w_col", "tau_opponent",
+              "sign_changes", "pattern_ok", "tau_prime_bound", "alpha2_root"]
+    return header, rows
+
+
+@pytest.mark.parametrize("preset, weights, fmt", [
+    ("nocost", (0.0, 0.0), "csv"),
+    ("costed", (0.001, 1.001), "csv"),
+    ("costed", (0.001, 1.001), "json"),
+])
+def test_catalog_verify_output_is_the_oracles(preset, weights, fmt, capsys):
+    code, out = run_cli(["verify", "--nd", "1,2,5", "--nw", "1,2,5", "--preset", preset, "--format", fmt], capsys)
+    assert code == 0
+    assert out == cli._render(*oracle_verify_rows((1, 2, 5), (1, 2, 5), *weights), fmt)
+
+
+@pytest.mark.parametrize("tau_opp, code, message", [
+    ("0.5,0.9,1.0", 2, "error: (1-0.9)^400 underflows to 0"),
+    ("1.0,0.9", 1, "error: fixed opponent strategy must lie in [0, 1)"),
+], ids=["underflow-first", "range-first"])
+def test_verify_reports_the_first_bad_opponent_value(tau_opp, code, message, capsys):
+    assert main(["verify", "--nd", "2", "--nw", "400", "--player", "dsrc", "--tau-opp", tau_opp]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+def test_verify_scans_once_per_player_and_cell(monkeypatch, capsys):
+    calls = []
+    real = cli.verify_quasiconcavity
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_quasiconcavity", counting)
+    code, out = run_cli(["verify", "--nd", "1,2,5", "--nw", "1,2,5"], capsys)
+    assert code == 0 and len(parse_csv(out)[1]) == 162
+    assert len(calls) == 18
+
+
+def test_costed_catalog_verify_prints_no_warning():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["verify", "--nd", "1,2,5", "--nw", "1,2,5", "--preset", "costed"]
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "csma_game.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
     assert proc.stderr == ""

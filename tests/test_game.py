@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from csma_game import game
 from csma_game.game import (
     GridSpec,
-    _cost_expr,
     build_surfaces,
     rescale_age,
     rescale_age_per_opponent,
     wastage_cost,
 )
-from csma_game.metrics import _aoi_expr, _throughput_expr, aoi_closed_form, throughput_closed_form
+from csma_game.metrics import aoi_closed_form, throughput_closed_form
 from csma_game.model import (
     DSRC,
     WIFI,
@@ -252,12 +251,35 @@ class TestSurfaces:
         assert diffs[0.01] / diffs[0.001] >= 5.0
 
 
+# The closed forms as three separate whole-array expressions, each computing
+# its own idle and busy factors: the oracle of the shared, blocked build.
+
+
+def separate_aoi_expr(d, w, beta):
+    p_idle = d.q * w.q
+    succ_d = d.solo * w.q
+    busy = 1.0 - p_idle
+    return (busy + beta) / succ_d + 0.5 * beta + (1.0 + beta) * busy / (2.0 * (busy + beta))
+
+
+def separate_throughput_expr(d, w, beta):
+    succ_w = w.solo * d.q
+    return succ_w * (1.0 + beta) / (1.0 - d.q * w.q + beta)
+
+
+def separate_cost_expr(d, w, config):
+    p_idle = d.q * w.q
+    succ_d = d.n * d.tau * d.r1 * w.q
+    succ_w = w.n * w.tau * w.r1 * d.q
+    return config.w_idle * p_idle + config.w_col * (1.0 - p_idle - succ_d - succ_w)
+
+
 def whole_grid_surfaces(cfg, grid, rescale):
-    """The four surfaces from one evaluation of the closed forms on the whole grid."""
+    """The four surfaces from one evaluation of the separate closed forms on the whole grid."""
     pts = grid.points()
     d, w = _Axis(pts[:, None], cfg.n_dsrc), _Axis(pts[None, :], cfg.n_wifi)
-    age, thr = _aoi_expr(d, w, cfg.beta), _throughput_expr(d, w, cfg.beta)
-    return age, thr, _cost_expr(d, w, cfg), rescale(age, thr)
+    age, thr = separate_aoi_expr(d, w, cfg.beta), separate_throughput_expr(d, w, cfg.beta)
+    return age, thr, separate_cost_expr(d, w, cfg), rescale(age, thr)
 
 
 class TestBlockedBuild:
@@ -281,6 +303,22 @@ class TestBlockedBuild:
             assert g.tobytes() == w.tobytes(), name
         if nd == 400:
             assert np.count_nonzero(~np.isfinite(surf.age)) == 4587
+
+    @pytest.mark.parametrize("nd, nw, w_idle, w_col, rescale", [
+        (12, 4, 0.0, 0.0, rescale_age),
+        (20, 20, 0.004, 1.004, rescale_age_per_opponent),
+    ], ids=["free", "costed"])
+    @pytest.mark.parametrize("block_rows", [None, 7, 1], ids=["default", "7rows", "1row"])
+    def test_fine_grid_bit_identical_to_whole_grid(self, nd, nw, w_idle, w_col, rescale, block_rows, monkeypatch):
+        grid = GridSpec(0.001, 0.999, 0.001)
+        if block_rows is not None:
+            monkeypatch.setattr(game, "_BLOCK_CELLS", block_rows * grid.n_points)
+        cfg = NetworkConfig(nd, nw, 0.004, w_idle=w_idle, w_col=w_col)
+        surf = build_surfaces(cfg, grid, rescale=rescale)
+        want = whole_grid_surfaces(cfg, grid, rescale)
+        got = (surf.age, surf.throughput, surf.cost, surf.age_rescaled)
+        for name, g, w in zip(("age", "throughput", "cost", "age_rescaled"), got, want):
+            assert g.tobytes() == w.tobytes(), name
 
     @pytest.mark.parametrize("rescale", [rescale_age, rescale_age_per_opponent])
     def test_peak_memory_is_the_surfaces_and_one_grid_more(self, rescale):

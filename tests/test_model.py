@@ -186,6 +186,18 @@ class TestDomainTypes:
         # 0 stands in for an absent network
         assert StrategyPair(tau_d=0.0, tau_w=0.5).tau_d == 0.0
 
+    @pytest.mark.parametrize("tau_d, tau_w, message", [
+        (1.0, 0.5, "tau_d must lie in [0, 1), got 1.0"),
+        (0.5, -0.1, "tau_w must lie in [0, 1), got -0.1"),
+        (-0.5, 2.0, "tau_d must lie in [0, 1), got -0.5"),  # tau_d is named first
+        (0.5, float("nan"), "tau_w must lie in [0, 1), got nan"),
+        (0.5, 1.0, "tau_w must lie in [0, 1), got 1.0"),
+    ])
+    def test_strategy_pair_messages_name_the_first_bad_component(self, tau_d, tau_w, message):
+        with pytest.raises(ValueError) as exc:
+            StrategyPair(tau_d=tau_d, tau_w=tau_w)
+        assert str(exc.value) == message
+
     def test_access_vector_validation(self):
         with pytest.raises(ValueError):
             AccessVector((0.2,), (DSRC, WIFI))
