@@ -4,20 +4,25 @@ One replication draws every node's transmit decision per slot, classifies
 slots as idle/success/collision, and accumulates continuous time as the
 sum of slot durations. One pass covers the warm-up, then each batch, in
 chunks of rows drawn into one reused buffer; they consume the generator's
-stream exactly as one ``(horizon, n)`` draw would. A chunk's 0/1 decisions
-times the ``(n, 2)`` matrix ``[1, i]`` give each slot's transmitter count
-and, in a success slot, its transmitter, exactly (integer sums below 2^53).
-Memory is one chunk plus per-node x per-batch state, whatever the horizon.
+stream exactly as one ``(horizon, n)`` draw would. The ``(2, n)`` matrix
+``[1, i]`` times a chunk's transposed 0/1 decisions gives two contiguous
+rows: each slot's transmitter count and, in a success slot, its transmitter,
+exactly (integer sums below 2^53). Memory is one chunk plus per-node x
+per-batch state, whatever the horizon.
 
 Every per-node estimate comes from the node's delivery times, the ends of
 the slots in which it alone transmitted. Its age grows at unit rate and
 drops to the success-slot length at each delivery, with time 0 counted as
 a delivery, so a gap Z between deliveries adds the area ``s_S*Z + Z^2/2``
 (Kaul, Yates & Gruteser, INFOCOM 2012); the age integral up to any batch
-edge is exact. Estimates use only the post-warmup window. Age and throughput
-standard errors come from batch means (age samples are autocorrelated; a
-naive variance would understate the error), while inter-update times are
-iid by construction so their moments use plain sample standard errors.
+edge is exact. A chunk's deliveries are sorted into one run per node, so
+each per-node quantity (area, update count, latest delivery) is one
+reduction over the runs, and the gaps Z and Z^2 are merged into their
+running moments together, by one Chan, Golub & LeVeque (1979) update.
+Estimates use only the post-warmup window. Age and throughput standard
+errors come from batch means (age samples are autocorrelated; a naive
+variance would understate the error), while inter-update times are iid by
+construction so their moments use plain sample standard errors.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ from .model import AccessVector, SlotLengths
 
 _N_BATCHES = 100
 # Memory of one chunk in 8-byte words. A slot takes n words of draws and at
-# most _SLOT_WORDS more of temporaries (about 33 bytes, and 48 more in a
-# delivery slot), so a chunk holds max(1, _CHUNK // (n + _SLOT_WORDS)) slots.
+# most _SLOT_WORDS more of temporaries (32 bytes, and 25 more in a delivery
+# slot), so a chunk holds max(1, _CHUNK // (n + _SLOT_WORDS)) slots.
 _CHUNK = 1 << 20
-_SLOT_WORDS = 11
+_SLOT_WORDS = 8
 
 
 class NoProgressError(RuntimeError):
@@ -109,16 +114,21 @@ def _batch_means(batch_sums: np.ndarray, batch_time: np.ndarray) -> tuple[np.nda
     return batch_sums.sum(axis=1) / batch_time.sum(), se / np.sqrt(b)
 
 
-def _merge_samples(stats: np.ndarray, node: np.ndarray, x: np.ndarray) -> None:
-    """Add samples x of the given nodes to per-node rows (count, mean, sum of
-    squared deviations), merging as Chan, Golub & LeVeque (1979) do."""
-    count, mean, m2 = stats
-    k = np.bincount(node, minlength=count.size)
-    k_mean = np.bincount(node, x, count.size) / np.maximum(k, 1)
-    delta, share = k_mean - mean, k / np.maximum(count + k, 1)
-    m2 += np.bincount(node, (x - k_mean[node]) ** 2, count.size) + delta * delta * count * share
-    mean += delta * share
-    count += k
+def _merge_runs(stats: np.ndarray, node: np.ndarray, starts: np.ndarray, size: np.ndarray,
+                x: np.ndarray, skip: np.ndarray) -> None:
+    """Merge runs of samples into per-node (count, mean, sum of squared deviations)
+    stats of shape (3, q, n), as Chan, Golub & LeVeque (1979) do. The ``size[j]``
+    columns of x, (q, m), from ``starts[j]`` on are samples of node ``node[j]``,
+    but for the first where ``skip[j]``. x is overwritten."""
+    k, lost = size - skip, starts[skip]
+    x[:, lost] = 0.0
+    k_mean = np.add.reduceat(x, starts, axis=1) / np.maximum(k, 1)
+    x -= np.repeat(k_mean, size, axis=1)
+    x[:, lost] = 0.0
+    count, mean, m2 = stats[..., node]
+    delta, share = k_mean - mean, k / np.maximum(count + k, 1)  # a run with no sample adds nothing
+    m2 += np.add.reduceat(np.square(x, out=x), starts, axis=1) + delta * delta * count * share
+    stats[..., node] = count + k, mean + delta * share, m2
 
 
 def _mean_se(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +147,8 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     rng = np.random.default_rng(cfg.seed)
     taus = np.asarray(v.taus)
     slot_length = np.array([s.idle, s.success, s.collision])  # by transmitter count 0, 1, 2+
-    classify = np.stack((np.ones(n), np.arange(n)), axis=1)  # count; the transmitter if alone
+    classify = np.stack((np.ones(n), np.arange(n)))  # count; the transmitter if alone
+    stop = np.array([n], np.min_scalar_type(n))  # a node key that no node has
     bounds = _segment_bounds(cfg.resolved_warmup, cfg.horizon_slots)
     n_seg = bounds.size - 1
     buf = np.empty((min(max(1, _CHUNK // (n + _SLOT_WORDS)), np.diff(bounds).max()), n))
@@ -147,32 +158,38 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     edge_area = np.empty((n, n_seg))  # each node's age integral up to there
     last, area = np.zeros((2, n))  # latest delivery (time 0 counts as one), age integral up to it
     measured = np.zeros(n, dtype=bool)  # `last` lies after the warm-up
-    gaps = np.zeros((2, 3, n))  # count, mean and squared deviations of Z and of Z^2
+    gaps = np.zeros((3, 2, n))  # count, mean and squared deviations of Z and of Z^2
+
+    def deliveries(transmit: np.ndarray, seg: int, clock: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """Count one chunk's slot kinds; returns its deliveries' nodes and times, by node
+        and then in slot order, and the clock at its end. Its slot arrays die on return."""
+        count, sender = classify @ transmit.T  # exact: integer sums below 2**53
+        end = slot_length.take(count.astype(np.intp), mode="clip")
+        end[0] += clock
+        np.cumsum(end, out=end)  # each slot's end, as one cumsum over the horizon gives
+        solo = np.flatnonzero(count == 1)
+        idle = count.size - np.count_nonzero(count)
+        kinds[seg] += idle, solo.size, count.size - idle - solo.size
+        node = sender[solo].astype(stop.dtype)
+        order = node.argsort(kind="stable")  # a radix sort for up to 65 535 nodes
+        return node[order], end[solo[order]], end[-1]
 
     def add_chunk(transmit: np.ndarray, seg: int, clock: float) -> float:
         """Add one chunk of 0/1 decisions; returns the clock at its end."""
-        tx = transmit @ classify  # exact: integer sums below 2**53
-        kind = np.minimum(tx[:, 0], 2, out=tx[:, 0]).astype(np.intp)
-        kinds[seg] += np.bincount(kind, minlength=3)
-        end = slot_length[kind]
-        end[0] += clock
-        np.cumsum(end, out=end)  # each slot's end, as one cumsum over the horizon gives
-        solo = np.flatnonzero(kind == 1)
-        # Deliveries by node, then in slot order; a radix sort for up to 65 535 nodes.
-        solo = solo[np.argsort(tx[solo, 1].astype(np.min_scalar_type(n)), kind="stable")]
-        node, t = tx[solo, 1].astype(np.intp), end[solo]
-        new_node = node != np.concatenate(([-1], node[:-1]))
+        node, t, clock = deliveries(transmit, seg, clock)
+        starts = np.flatnonzero(np.diff(np.concatenate((stop, node))))  # each node's run
+        ends = np.append(starts, t.size)[1:]
+        node, size = node[starts], ends - starts
         z = t - np.concatenate(([0.0], t[:-1]))  # time since the node's previous delivery
-        z[new_node] = t[new_node] - last[node[new_node]]
-        area[:] += np.bincount(node, s.success * z + 0.5 * z * z, n)
-        np.maximum.at(last, node, t)
+        z[starts] = t[starts] - last[node]
+        last[node] = t[ends - 1]
+        x = np.array((z, z * z))
+        area[node] += np.add.reduceat(s.success * z + 0.5 * x[1], starts)
         if seg:
-            sample = ~new_node | measured[node]
-            _merge_samples(gaps[0], node[sample], z[sample])
-            _merge_samples(gaps[1], node[sample], z[sample] ** 2)
+            updates[node, seg] += size
+            _merge_runs(gaps, node, starts, size, x, ~measured[node])
             measured[node] = True
-            updates[:, seg] += np.bincount(node, minlength=n)
-        return end[-1]
+        return clock
 
     clock = 0.0
     for seg in range(n_seg):
@@ -191,8 +208,7 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     return SimResult(
         *_batch_means(s.success * updates[:, 1:], batch_time),
         *_batch_means(np.diff(edge_area, axis=1), batch_time),
-        *_mean_se(gaps[0]),
-        *_mean_se(gaps[1]),
+        *_mean_se(gaps[:, 0]), *_mean_se(gaps[:, 1]),  # Z, then Z^2
         update_counts=updates.sum(axis=1),
         slots_idle=idle, slots_success=success, slots_collision=collision,
         slots_measured=cfg.horizon_slots - cfg.resolved_warmup,

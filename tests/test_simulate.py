@@ -183,6 +183,12 @@ DENSE_CASES = [
     ((1.0,), 2, 1),  # a single batch: no standard errors
     ((0.2, 0.1, 0.3), 400_000, 1234),  # explicit warm-up, batches of 3988 slots
     ((0.0, 1.0, 0.5, 0.2), 20_000, None),  # silent and always-on nodes: 1 to 3 transmitters
+    ((0.003,) * 300, 10_000, None),  # 300 nodes: two-byte node keys
+    ((0.004,) * 256, 10_000, 2_500),  # 256 nodes, explicit warm-up
+    # at every chunk size, node 0's first measured chunk holds one delivery of
+    # it, so one gap, which crosses the warm-up and is no sample
+    ((0.002, 0.3), 20_000, 1_000),
+    ((0.3, 0.005, 0.02), 3_000, 2_900),  # nodes 1 and 2 deliver only during the warm-up
 ]
 
 
@@ -270,6 +276,21 @@ def test_one_node_chunk_stays_within_its_budget(tau):
     tracemalloc.start()
     try:
         run_simulation(v, S001, SimConfig(horizon_slots=1_100_000, seed=5, warmup_slots=1_050_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * simulate._CHUNK
+
+
+def test_measured_chunks_stay_within_the_budget():
+    # The warm-up chunks above merge no gaps. Here 120 000-slot batches hold
+    # whole chunks, and at tau = 1 each slot's gap is merged into the moments.
+    assert simulate._CHUNK // (1 + simulate._SLOT_WORDS) < 120_000
+    v = AccessVector((1.0,), (DSRC,))
+    run_simulation(v, S001, SimConfig(horizon_slots=1_000, seed=5))  # first-call allocations
+    tracemalloc.start()
+    try:
+        run_simulation(v, S001, SimConfig(horizon_slots=12_000_000, seed=5, warmup_slots=0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
