@@ -73,8 +73,8 @@ _DEFAULTS = {
     "rescale": "range",
 }
 
-# Named (w_idle, w_col) presets; the costed one, None here, tracks the resolved beta.
-_PRESETS = {"nocost": ("0", "0"), "costed": None, "nudge150": ("0.001", "150"), "nudge400": ("0.001", "400")}
+# Named weight presets; the costed one tracks the resolved beta.
+_PRESETS = ("nocost", "costed", "nudge150", "nudge400")
 
 _SHARED_FLAGS = (
     "nd", "nw", "beta", "w_idle", "w_col", "grid_lo", "grid_hi", "grid_step",
@@ -154,12 +154,23 @@ class _Options:
         if preset is not None:
             _as_choice("preset", preset, _PRESETS)
             beta = self.number("beta")
-            weights = _PRESETS[preset] or (repr(beta), repr(1.0 + beta))
+            weights = {
+                "nocost": ("0", "0"),
+                "costed": (repr(beta), repr(1.0 + beta)),
+                "nudge150": ("0.001", "150"),
+                "nudge400": ("0.001", "400"),
+            }[preset]
             self._preset = {"w_idle": weights[0], "w_col": weights[1]}
 
     def raw(self, field):
-        layers = (self._flags, self._preset, self._file)
-        return next((layer[field] for layer in layers if layer.get(field) is not None), _DEFAULTS[field])
+        value = self._flags.get(field)
+        if value is None:
+            value = self._preset.get(field)
+        if value is None:
+            value = self._file.get(field)
+        if value is None:
+            value = _DEFAULTS[field]
+        return value
 
     def number(self, field, kind=float):
         """The option as ``kind`` (int or float); an option whose default is None stays None."""
@@ -360,26 +371,12 @@ def _cell(value, as_text: bool):
     return str(value) if as_text else value
 
 
-def _column(values: tuple, as_text: bool) -> list:
-    """A column as _cell gives it, a float column with one format call per value."""
-    if not all(isinstance(v, float) for v in values):
-        return [_cell(v, as_text) for v in values]
-    text = ["" if t == "nan" else t for t in map("{:.6g}".format, values)]
-    return text if as_text else [float(t) if t else None for t in text]
-
-
 def _render(header: list[str], rows: list[tuple], fmt: str) -> str:
-    columns = [_column(values, fmt == "csv") for values in zip(*rows)]
     if fmt == "csv":
-        return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
-    if not rows:
-        return "[]\n"
-    # json.dumps(records, indent=2), with each column's values written by the C
-    # encoder in one call; a raw newline separates them, as JSON escapes it in strings.
-    keys = [f"    {json.dumps(name)}: " for name in header]
-    cells = zip(*[json.dumps(c, separators=("\n", ":"))[1:-1].split("\n") for c in columns])
-    records = ["  {\n" + ",\n".join(map(str.__add__, keys, row)) + "\n  }" for row in cells]
-    return "[\n" + ",\n".join(records) + "\n]\n"
+        lines = [",".join(header)] + [",".join([_cell(v, True) for v in row]) for row in rows]
+        return "\n".join(lines) + "\n"
+    records = [dict(zip(header, [_cell(v, False) for v in row])) for row in rows]
+    return json.dumps(records, indent=2) + "\n"
 
 
 def main(argv=None) -> int:

@@ -1,13 +1,11 @@
 """Command-line front end: schemas, determinism, precedence, exit codes."""
 
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from csma_game import cli
@@ -354,63 +352,3 @@ def test_costed_catalog_verify_prints_no_warning():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stderr == ""
-
-
-def cell_per_value(value, as_text):
-    """One value as CSV text or as a JSON value, the way the renderer formatted each cell."""
-    if isinstance(value, float) and not math.isnan(value):
-        text = f"{value:.6g}"
-        return text if as_text else float(text)
-    if value is None or isinstance(value, float):
-        return "" if as_text else None
-    if isinstance(value, bool):
-        return ("true" if value else "false") if as_text else value
-    if isinstance(value, (int, np.integer)):
-        value = int(value)
-    return str(value) if as_text else value
-
-
-def render_per_cell(header, rows, fmt):
-    """The oracle for cli._render: one call per cell, then the stdlib's indented JSON encoder."""
-    if fmt == "csv":
-        lines = [",".join(header)] + [",".join([cell_per_value(v, True) for v in row]) for row in rows]
-        return "\n".join(lines) + "\n"
-    return json.dumps([dict(zip(header, [cell_per_value(v, False) for v in row])) for row in rows], indent=2) + "\n"
-
-
-# The reference catalog's 20 invocations: the six README result sets, the twelve
-# figure curves and the derivative sign scans, free and costed.
-CATALOG = [
-    ["sweep", "--nd", "1,2,5", "--nw", "1,2,5", "--beta", "0.001", "--w-idle", "0", "--w-col", "0"],
-    ["sweep", "--nd", "1,2,5", "--nw", "1,2,5", "--beta", "0.001", "--preset", "costed", "--rescale", "per-opponent"],
-    ["optimum", "--kind", "both", "--n", "2,4,10", "--beta", "0.001"],
-    ["sweep", "--nd", "1,2,5", "--nw", "1,2,5", "--beta", "0.001",
-     "--w-idle", "0.001,0.001", "--w-col", "150,400", "--rescale", "per-opponent"],
-    ["stackelberg", "--nd", "1,2,5", "--nw", "1,2,5", "--beta", "0.001", "--leader", "both"],
-    ["stackelberg", "--nd", "1,2,5", "--nw", "1,2,5", "--beta", "0.001",
-     "--preset", "costed", "--rescale", "per-opponent", "--leader", "both"],
-    *(["metrics", "--nd", str(nd), "--nw", str(nw), "--tau-w", "0.2"] for nd in (1, 5) for nw in (1, 2, 5)),
-    *(["metrics", "--nd", str(nd), "--nw", str(nw), "--tau-d", "0.2"] for nw in (1, 5) for nd in (1, 2, 5)),
-    ["verify", "--nd", "1,2,5", "--nw", "1,2,5"],
-    ["verify", "--nd", "1,2,5", "--nw", "1,2,5", "--preset", "costed"],
-]
-EMPTY_NASH = ["nash", "--nd", "2", "--nw", "1", "--preset", "costed"]
-RENDERED = CATALOG + [
-    # a silent wifi node: None analytic columns and NaN inter-update moments
-    ["simulate", "--nd", "2", "--nw", "1", "--tau-d", "0.1", "--tau-w", "0", "--horizon", "20000", "--seed", "3"],
-    ["optimum", "--kind", "dsrc", "--n", "1,3"],
-    EMPTY_NASH,
-]
-
-
-@pytest.mark.parametrize("argv", RENDERED, ids=[f"{k:02d}-{argv[0]}" for k, argv in enumerate(RENDERED)])
-def test_render_is_the_per_cell_oracle_byte_for_byte(argv, monkeypatch, capsys):
-    seen = []
-    render = cli._render
-    monkeypatch.setattr(cli, "_render", lambda header, rows, fmt: seen.append((header, rows)) or render(header, rows, fmt))
-    assert main(argv) == 0
-    assert capsys.readouterr().out
-    [(header, rows)] = seen
-    assert (rows == []) == (argv is EMPTY_NASH)
-    for fmt in ("csv", "json"):
-        assert render(header, rows, fmt) == render_per_cell(header, rows, fmt), fmt

@@ -268,9 +268,9 @@ def test_memory_does_not_grow_with_the_horizon(monkeypatch):
 
 @pytest.mark.parametrize("tau", [0.01, 1.0])
 def test_one_node_chunk_stays_within_its_budget(tau):
-    # A lone node draws 8 bytes a slot; the chunk's temporaries take up to 88
+    # A lone node draws 8 bytes a slot; the chunk's temporaries take up to 58
     # more (every slot is a delivery at tau = 1). A 1.05M-slot warm-up spans
-    # several chunks; a chunk of _CHUNK slots would peak at 41-89 MiB.
+    # several chunks; a chunk of _CHUNK slots would peak at 40-66 MiB.
     v = AccessVector((tau,), (DSRC,))
     run_simulation(v, S001, SimConfig(horizon_slots=1_000, seed=5))  # first-call allocations
     tracemalloc.start()
