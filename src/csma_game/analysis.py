@@ -22,45 +22,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from .game import GridSpec
-from .model import DSRC, NetworkConfig, StrategyPair, _Axis, _Cells, _require_player
+from .model import DSRC, NetworkConfig, _Axis, _Cells, _require_player
 
 # Scan points closer than this to 0 or 1 are dropped: the 1/tau^2 term
 # swamps double precision in the last few ulps of the interval.
 _EDGE_MARGIN = 1e-4
 _ZERO_BRIDGE = 1e-12
 _NEWTON_STEPS = 50
-
-
-@dataclass(frozen=True)
-class AgeDerivativeTerms:
-    """Terms of d(age + cost)/d tau_d at one strategy pair.
-
-    ``total = alpha1 + alpha2 + alpha_col - alpha_idle`` is the derivative
-    of the age player's negated (unrescaled) payoff.
-    """
-
-    alpha1: float
-    alpha2: float
-    alpha_col: float
-    alpha_idle: float
-    q_w: float
-    q_w_prime: float
-    total: float
-
-
-@dataclass(frozen=True)
-class ThrDerivativeTerms:
-    """Terms of d(cost - throughput)/d tau_w at one strategy pair.
-
-    ``total = alpha + alpha_col - alpha_idle``.
-    """
-
-    alpha: float
-    alpha_col: float
-    alpha_idle: float
-    q_d: float
-    q_d_prime: float
-    total: float
 
 
 @dataclass(frozen=True)
@@ -78,14 +46,13 @@ class QuasiConcavityReport:
 
 
 def _cost_slope_parts(own, opp, config: NetworkConfig):
-    """Collision and idle terms of d(cost)/d(own tau), plus the opponent's
-    one-sender probability n tau (1-tau)^(n-1) that the collision term uses."""
-    opp_prime = opp.n * opp.tau * opp.r1
+    """Collision and idle terms of d(cost)/d(own tau)."""
+    opp_prime = opp.n * opp.tau * opp.r1  # the opponent's one-sender probability
     alpha_col = config.w_col * (
         opp.q * own.n * (own.n - 1) * own.tau * own.r2 + opp_prime * own.n * own.r1
     )
     alpha_idle = config.w_idle * opp.q * own.n * own.r1
-    return alpha_col, alpha_idle, opp_prime
+    return alpha_col, alpha_idle
 
 
 def _age_slope_parts(c: _Cells):
@@ -100,26 +67,6 @@ def _wifi_slope(c: _Cells):
     """d(-throughput)/d tau_w."""
     beta, d, w = c.beta, c.d, c.w
     return d.q * (1.0 + beta) * w.r2 * (c.p_idle + (1.0 + beta) * (w.tau * w.n - 1.0)) / c.mean_length**2
-
-
-def age_payoff_derivative_terms(pair: StrategyPair, config: NetworkConfig) -> AgeDerivativeTerms:
-    """Term decomposition of the age player's negated payoff derivative."""
-    if not 0.0 < pair.tau_d < 1.0:
-        raise ValueError("tau_d must be interior to (0, 1)")
-    c = _Cells.at(pair, config)
-    a1, a2 = _age_slope_parts(c)
-    a_col, a_idle, q_w_prime = _cost_slope_parts(c.d, c.w, config)
-    return AgeDerivativeTerms(*map(float, (a1, a2, a_col, a_idle, c.w.q, q_w_prime, a1 + a2 + a_col - a_idle)))
-
-
-def wifi_payoff_derivative_terms(pair: StrategyPair, config: NetworkConfig) -> ThrDerivativeTerms:
-    """Term decomposition of the throughput player's negated payoff derivative."""
-    if not 0.0 < pair.tau_w < 1.0:
-        raise ValueError("tau_w must be interior to (0, 1)")
-    c = _Cells.at(pair, config)
-    a = _wifi_slope(c)
-    a_col, a_idle, q_d_prime = _cost_slope_parts(c.w, c.d, config)
-    return ThrDerivativeTerms(*map(float, (a, a_col, a_idle, c.d.q, q_d_prime, a + a_col - a_idle)))
 
 
 def _check_landmark_args(n_d: int, beta: float, q_w) -> None:
@@ -225,7 +172,7 @@ def verify_quasiconcavity(player: str, config: NetworkConfig, fixed_opponent, sc
     else:
         totals, roots = _wifi_slope(_Cells(opp, own, config.beta)), [None] * len(values)
     if config.w_col or config.w_idle:  # zero weights add +-0.0, which changes no sign
-        a_col, a_idle, _ = _cost_slope_parts(own, opp, config)
+        a_col, a_idle = _cost_slope_parts(own, opp, config)
         totals = totals + a_col - a_idle
     signs = np.sign(totals)
     for r in np.flatnonzero(~(np.abs(totals) >= _ZERO_BRIDGE).all(axis=1)):  # near-zero or NaN entries

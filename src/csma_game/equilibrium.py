@@ -19,35 +19,13 @@ tolerance meaningless across configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .game import GridSpec, PayoffSurfaces
 from .metrics import _aoi_expr, _throughput_expr
 from .model import DSRC, WIFI, NetworkConfig, StrategyPair, _Axis, _Cells, _require_player
-
-
-@dataclass(frozen=True)
-class BestResponseMap:
-    """Tie-aware best replies of one player to every opponent grid value.
-
-    ``mask[r, o]`` is True when ``responder_taus[r]`` is within
-    ``eps_tie * (payoff spread of column o)`` of the best payoff against
-    ``opponent_taus[o]``. It is a read-only view of the mask the solvers use.
-    """
-
-    responder: str
-    responder_taus: np.ndarray = field(repr=False)
-    opponent_taus: np.ndarray = field(repr=False)
-    mask: np.ndarray = field(repr=False)
-    eps_tie: float
-
-    def response_set(self, opponent_tau: float) -> tuple[float, ...]:
-        o = int(np.argmin(np.abs(self.opponent_taus - opponent_tau)))
-        if abs(self.opponent_taus[o] - opponent_tau) > 1e-9:
-            raise ValueError(f"{opponent_tau} is not an opponent grid value")
-        return tuple(float(t) for t in self.responder_taus[self.mask[:, o]])
 
 
 @dataclass(frozen=True)
@@ -88,8 +66,8 @@ def _tie_mask(u: np.ndarray, axis: int, eps_tie: float) -> np.ndarray:
     Raises FloatingPointError when some column has no best response, which
     happens only when the payoffs are not finite (``0 * inf`` is NaN).
     """
-    if eps_tie < 0.0:
-        raise ValueError("eps_tie must be non-negative")
+    if not 0.0 <= eps_tie < math.inf:  # also rejects NaN
+        raise ValueError("eps_tie must be finite and non-negative")
     with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf; caught below as an empty column
         top = u.max(axis=axis, keepdims=True)
         spread = top - u.min(axis=axis, keepdims=True)
@@ -113,23 +91,12 @@ def _br_mask(responder: str, surfaces: PayoffSurfaces, eps_tie: float) -> np.nda
     key = (responder, eps_tie)
     if key not in surfaces._masks:
         if responder == DSRC:
-            mask = _tie_mask(surfaces.payoff_dsrc_grid(), 0, eps_tie)
+            mask = _tie_mask(surfaces.payoff_dsrc, 0, eps_tie)
         else:
-            mask = _tie_mask(surfaces.payoff_wifi_grid(), 1, eps_tie)
+            mask = _tie_mask(surfaces.payoff_wifi, 1, eps_tie)
         mask.setflags(write=False)
         surfaces._masks[key] = mask
     return surfaces._masks[key]
-
-
-def best_response(responder: str, surfaces: PayoffSurfaces, eps_tie: float = 0.0) -> BestResponseMap:
-    """All responder strategies tied with the best, per opponent value."""
-    _require_player(responder)
-    pts = surfaces.grid.points()
-    mask = _br_mask(responder, surfaces, eps_tie)
-    return BestResponseMap(
-        responder=responder, responder_taus=pts, opponent_taus=pts,
-        mask=mask if responder == DSRC else mask.T, eps_tie=eps_tie,
-    )
 
 
 def enumerate_nash(surfaces: PayoffSurfaces, eps_tie: float = 0.0) -> list[NashResult]:
@@ -145,7 +112,7 @@ def enumerate_nash(surfaces: PayoffSurfaces, eps_tie: float = 0.0) -> list[NashR
     i, j = np.nonzero(both)
     pts = surfaces.grid.points()
     columns = (pts[i], pts[j], surfaces.age[i, j], surfaces.throughput[i, j],
-               surfaces.payoff_dsrc_grid()[i, j], surfaces.payoff_wifi_grid()[i, j])
+               surfaces.payoff_dsrc[i, j], surfaces.payoff_wifi[i, j])
     return [
         NashResult(StrategyPair(tau_d=td, tau_w=tw), age, thr, u_d, u_w)
         for td, tw, age, thr, u_d, u_w in zip(*(c.tolist() for c in columns))
@@ -161,9 +128,9 @@ def solve_stackelberg(leader: str, surfaces: PayoffSurfaces, eps_tie: float = 0.
     _require_player(leader)
     pts = surfaces.grid.points()
     if leader == DSRC:  # follower picks the tau_w column within each leader row
-        lead_u, fol_mask = surfaces.payoff_dsrc_grid(), _br_mask(WIFI, surfaces, eps_tie)
+        lead_u, fol_mask = surfaces.payoff_dsrc, _br_mask(WIFI, surfaces, eps_tie)
     else:
-        lead_u, fol_mask = surfaces.payoff_wifi_grid().T, _br_mask(DSRC, surfaces, eps_tie).T
+        lead_u, fol_mask = surfaces.payoff_wifi.T, _br_mask(DSRC, surfaces, eps_tie).T
     pessimistic = lead_u.min(axis=1, where=fol_mask, initial=np.inf)
     li = int(np.argmax(pessimistic))
     replies = np.flatnonzero(fol_mask[li])

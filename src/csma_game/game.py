@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .metrics import _aoi_expr, _throughput_expr
-from .model import DSRC, NetworkConfig, StrategyPair, _Axis, _Cells, _require_player
+from .model import NetworkConfig, _Axis, _Cells
 
 RescaleFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -68,11 +68,6 @@ def _cost_expr(c, config: NetworkConfig, out=None):
         collided *= config.w_col
         cost += collided
     return cost
-
-
-def wastage_cost(pair: StrategyPair, config: NetworkConfig) -> float:
-    """Idle plus collision penalty charged identically to both players."""
-    return float(_cost_expr(_Cells.at(pair, config), config))
 
 
 def rescale_age(age: np.ndarray, throughput: np.ndarray) -> np.ndarray:
@@ -127,9 +122,11 @@ class PayoffSurfaces:
     """Age, throughput, cost, and rescaled-age values on the strategy grid.
 
     Arrays are indexed ``[i, j]`` with ``i`` the tau_d grid index and ``j``
-    the tau_w grid index, and are read-only once built. The payoff grids are
-    computed on first use and kept, read-only; the equilibrium solvers keep
-    each player's best-response mask here too, once per ``eps_tie``.
+    the tau_w grid index, and are read-only once built. The payoff grids,
+    ``payoff_dsrc = -age_rescaled - cost`` and ``payoff_wifi = throughput -
+    cost``, are computed on first use and kept, read-only; the equilibrium
+    solvers keep each player's best-response mask here too, once per
+    ``eps_tie``.
     """
 
     config: NetworkConfig
@@ -140,28 +137,13 @@ class PayoffSurfaces:
     age_rescaled: np.ndarray = field(repr=False)
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def indices_of(self, pair: StrategyPair) -> tuple[int, int]:
-        return self.grid.index_of(pair.tau_d), self.grid.index_of(pair.tau_w)
-
     @cached_property
-    def _payoff_dsrc(self) -> np.ndarray:
+    def payoff_dsrc(self) -> np.ndarray:
         return _read_only(-self.age_rescaled - self.cost)
 
     @cached_property
-    def _payoff_wifi(self) -> np.ndarray:
+    def payoff_wifi(self) -> np.ndarray:
         return _read_only(self.throughput - self.cost)
-
-    def payoff_dsrc_grid(self) -> np.ndarray:
-        return self._payoff_dsrc
-
-    def payoff_wifi_grid(self) -> np.ndarray:
-        return self._payoff_wifi
-
-    def payoff(self, player: str, pair: StrategyPair) -> float:
-        """``player``'s payoff at a grid point; off-grid pairs are rejected."""
-        _require_player(player)
-        grid = self.payoff_dsrc_grid() if player == DSRC else self.payoff_wifi_grid()
-        return float(grid[self.indices_of(pair)])
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AccessVector, NetworkConfig, SlotLengths, StrategyPair, _Cells
+from .model import AccessVector, SlotLengths
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,11 @@ def _moments(v: AccessVector, s: SlotLengths, i: int) -> tuple[float, float]:
     if p <= 0.0:
         raise ValueError("tagged node never updates; inter-update time is infinite")
     sig_s = s.success
-    if p >= 1.0:
-        return sig_s, sig_s**2
-    fail = 1.0 - p
     p_other = k.success - p
-    ey = (k.idle * s.idle + p_other * s.success + k.collision * s.collision) / fail
-    ey2 = (k.idle * s.idle**2 + p_other * s.success**2 + k.collision * s.collision**2) / fail
-    el = 1.0 / p
-    el2 = (2.0 - p) / p**2
-    ez = (el - 1.0) * ey + sig_s
-    ez2 = (el - 1.0) * (ey2 + 2.0 * sig_s * ey) + (el2 - 3.0 * el + 2.0) * ey**2 + sig_s**2
+    g1 = k.idle * s.idle + p_other * s.success + k.collision * s.collision
+    g2 = k.idle * s.idle**2 + p_other * s.success**2 + k.collision * s.collision**2
+    ez = (g1 + p * sig_s) / p
+    ez2 = sig_s**2 + (2.0 * sig_s * g1 + g2) / p + 2.0 * g1**2 / p**2
     return ez, ez2
 
 
@@ -70,16 +65,18 @@ def per_node_throughput(v: AccessVector, s: SlotLengths, i: int) -> float:
 def inter_update_moments(v: AccessVector, s: SlotLengths, i: int) -> InterUpdateMoments:
     """Moments of the time between node i's consecutive successful updates.
 
-    The number of slots L until a success is geometric with parameter
-    p = P(node i alone transmits). The preceding non-updating slots are iid
-    with length Y: such a slot is idle, carries another node's success, or
-    is a collision (node i possibly among its senders). The final slot has
-    the success duration X with E[X] = sigma_S, E[X^2] = sigma_S^2.
-    Composing,
+    Z is a renewal cycle: some slots that are not node i's success, then one
+    that is, of duration sigma_S. Let p = P(node i alone transmits) and sum
+    over the other outcomes (idle, another node's success, a collision with
+    node i possibly among its senders) their probability times their length,
+    g1, and times their squared length, g2. The number of slots before the
+    success is geometric, so
 
-        E[Z]   = (E[L] - 1) E[Y] + E[X]
-        E[Z^2] = (E[L] - 1)(E[Y^2] + 2 E[X] E[Y])
-                 + (E[L^2] - 3 E[L] + 2) E[Y]^2 + E[X^2].
+        E[Z]   = (g1 + p sigma_S) / p
+        E[Z^2] = sigma_S^2 + (2 sigma_S g1 + g2) / p + 2 g1^2 / p^2.
+
+    There is no division by 1 - p: an always-alone node (p = 1) has
+    g1 = g2 = 0 and Z = sigma_S exactly.
     """
     ez, ez2 = _moments(v, s, i)
     return InterUpdateMoments(first=ez, second=ez2)
@@ -111,19 +108,3 @@ def _aoi_expr(c, out=None):
     tail = (1.0 + c.beta) * c.busy
     tail /= 2.0 * c.mean_length
     return np.add(rate, tail, out=out)
-
-
-def throughput_closed_form(pair: StrategyPair, config: NetworkConfig) -> float:
-    """Per-node WiFi throughput for homogeneous strategies (short-idle slots)."""
-    if config.n_wifi == 0:
-        return 0.0
-    return float(_throughput_expr(_Cells.at(pair, config)))
-
-
-def aoi_closed_form(pair: StrategyPair, config: NetworkConfig) -> float:
-    """Per-node DSRC age for homogeneous strategies (short-idle slots)."""
-    if config.n_dsrc < 1:
-        raise ValueError("age is defined only when the network has a node")
-    if pair.tau_d <= 0.0:
-        raise ValueError("tau_d must be positive; the tagged node never updates")
-    return float(_aoi_expr(_Cells.at(pair, config)))

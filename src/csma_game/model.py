@@ -16,6 +16,7 @@ forms, the payoff surfaces and the derivative terms combine those factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -74,12 +75,8 @@ class NetworkConfig:
         if self.n_dsrc + self.n_wifi < 1:
             raise ValueError("need at least one node across both networks")
         self.slot_lengths()  # rejects beta outside (0, 1)
-        if self.w_idle < 0.0 or self.w_col < 0.0:
-            raise ValueError("cost weights must be non-negative")
-
-    @property
-    def n_total(self) -> int:
-        return self.n_dsrc + self.n_wifi
+        if not all(0.0 <= w < math.inf for w in (self.w_idle, self.w_col)):  # also rejects NaN
+            raise ValueError("cost weights must be finite and non-negative")
 
     def slot_lengths(self) -> SlotLengths:
         return SlotLengths.from_beta(self.beta)
@@ -200,24 +197,5 @@ class _Cells:
         self.d, self.w, self.beta = d, w, beta
         self.p_idle = d.q * w.q  # nobody transmits
 
-    @classmethod
-    def at(cls, pair: StrategyPair, config: NetworkConfig) -> "_Cells":
-        return cls(_Axis(pair.tau_d, config.n_dsrc), _Axis(pair.tau_w, config.n_wifi), config.beta)
-
     busy = cached_property(lambda self: 1.0 - self.p_idle)
     mean_length = cached_property(lambda self: self.busy + self.beta)  # idle slots of beta, others of 1 + beta
-
-
-def joint_idle_prob(v: AccessVector) -> float:
-    """Probability that nobody transmits in a slot: prod_i (1 - tau_i)."""
-    return v._kernels.idle
-
-
-def success_prob_total(v: AccessVector) -> float:
-    """Probability that exactly one node transmits, summed over senders."""
-    return v._kernels.success
-
-
-def expected_slot_length(v: AccessVector, s: SlotLengths) -> float:
-    """Mean slot duration: the idle/success/collision mix weighted by length."""
-    return v._kernels.mean_length(s)

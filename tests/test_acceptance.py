@@ -10,32 +10,19 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cells import cells_at
 from csma_game.analysis import (
-    age_payoff_derivative_terms,
+    _age_slope_parts,
+    _cost_slope_parts,
+    _wifi_slope,
     alpha2_root,
     tau_prime_upper_bound,
     verify_quasiconcavity,
-    wifi_payoff_derivative_terms,
 )
 from csma_game.equilibrium import enumerate_nash, single_network_optimum, solve_stackelberg
-from csma_game.game import build_surfaces, rescale_age_per_opponent, wastage_cost
-from csma_game.metrics import (
-    aoi_closed_form,
-    aoi_node,
-    inter_update_moments,
-    per_node_throughput,
-    throughput_closed_form,
-)
-from csma_game.model import (
-    DSRC,
-    WIFI,
-    AccessVector,
-    NetworkConfig,
-    SlotLengths,
-    StrategyPair,
-    joint_idle_prob,
-    success_prob_total,
-)
+from csma_game.game import _cost_expr, build_surfaces, rescale_age_per_opponent
+from csma_game.metrics import _aoi_expr, _throughput_expr, aoi_node, inter_update_moments, per_node_throughput
+from csma_game.model import DSRC, WIFI, AccessVector, NetworkConfig, SlotLengths, StrategyPair
 from csma_game.simulate import SimConfig, run_simulation
 
 BETA = 0.001
@@ -181,8 +168,8 @@ def test_criterion_05_closed_forms_match_general_pipeline():
             for tw in pts:
                 pair = StrategyPair(td, tw)
                 v = AccessVector.homogeneous(cfg, pair)
-                thr_cf = throughput_closed_form(pair, cfg)
-                age_cf = aoi_closed_form(pair, cfg)
+                c = cells_at(pair, cfg)
+                thr_cf, age_cf = _throughput_expr(c), _aoi_expr(c)
                 worst = max(
                     worst,
                     abs(per_node_throughput(v, S001, nd) - thr_cf) / abs(thr_cf),
@@ -217,8 +204,8 @@ def test_criterion_06_monte_carlo_validates_analytics():
     failures = []
     for ci, v in enumerate(MC_CONFIGS):
         res = run_simulation(v, S001, SimConfig(horizon_slots=1_000_000, seed=17 + ci))
-        p_idle = joint_idle_prob(v)
-        p_succ = success_prob_total(v)
+        p_idle = v._kernels.idle
+        p_succ = v._kernels.success
         targets = (p_idle, p_succ, 1.0 - p_idle - p_succ)
         for frac, se, target, label in zip(
             res.slot_fractions(), res.slot_fraction_se(), targets, ("idle", "success", "collision")
@@ -258,19 +245,24 @@ def test_criterion_07_derivative_terms_match_finite_differences():
                 *((0.0, 0.0) if rng.random() < 0.5 else (BETA, 1.0 + BETA)),
             )
             td, tw = float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 0.99))
+            c = cells_at(StrategyPair(td, tw), cfg)
             if player == DSRC:
-                analytic = age_payoff_derivative_terms(StrategyPair(td, tw), cfg).total
-                f = lambda t: (
-                    aoi_closed_form(StrategyPair(t, tw), cfg)
-                    + wastage_cost(StrategyPair(t, tw), cfg)
-                )
+                alpha_col, alpha_idle = _cost_slope_parts(c.d, c.w, cfg)
+                analytic = sum(_age_slope_parts(c)) + alpha_col - alpha_idle
+
+                def f(t):
+                    c = cells_at(StrategyPair(t, tw), cfg)
+                    return _aoi_expr(c) + _cost_expr(c, cfg)
+
                 x = td
             else:
-                analytic = wifi_payoff_derivative_terms(StrategyPair(td, tw), cfg).total
-                f = lambda t: (
-                    wastage_cost(StrategyPair(td, t), cfg)
-                    - throughput_closed_form(StrategyPair(td, t), cfg)
-                )
+                alpha_col, alpha_idle = _cost_slope_parts(c.w, c.d, cfg)
+                analytic = _wifi_slope(c) + alpha_col - alpha_idle
+
+                def f(t):
+                    c = cells_at(StrategyPair(td, t), cfg)
+                    return _cost_expr(c, cfg) - _throughput_expr(c)
+
                 x = tw
             hi, lo = f(x + h), f(x - h)
             fd = (hi - lo) / (2.0 * h)

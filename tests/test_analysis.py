@@ -14,18 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cells import cells_at
 from csma_game import analysis
 from csma_game.analysis import (
     QuasiConcavityReport,
+    _age_slope_parts,
+    _cost_slope_parts,
     _effective_signs,
-    age_payoff_derivative_terms,
+    _wifi_slope,
     alpha2_root,
     tau_prime_upper_bound,
     verify_quasiconcavity,
-    wifi_payoff_derivative_terms,
 )
-from csma_game.game import GridSpec, wastage_cost
-from csma_game.metrics import aoi_closed_form, throughput_closed_form
+from csma_game.game import GridSpec, _cost_expr
+from csma_game.metrics import _aoi_expr, _throughput_expr
 from csma_game.model import DSRC, WIFI, NetworkConfig, StrategyPair, _Axis
 
 EPS = np.finfo(float).eps
@@ -44,35 +46,52 @@ def assert_matches_fd(analytic, f, x, rel=1e-5):
 
 
 def neg_dsrc_payoff(cfg, tau_w):
-    return lambda t: aoi_closed_form(StrategyPair(t, tau_w), cfg) + wastage_cost(
-        StrategyPair(t, tau_w), cfg
-    )
+    def f(t):
+        c = cells_at(StrategyPair(t, tau_w), cfg)
+        return _aoi_expr(c) + _cost_expr(c, cfg)
+
+    return f
 
 
 def neg_wifi_payoff(cfg, tau_d):
-    return lambda t: wastage_cost(StrategyPair(tau_d, t), cfg) - throughput_closed_form(
-        StrategyPair(tau_d, t), cfg
-    )
+    def f(t):
+        c = cells_at(StrategyPair(tau_d, t), cfg)
+        return _cost_expr(c, cfg) - _throughput_expr(c)
+
+    return f
+
+
+def age_terms(pair, cfg):
+    """alpha1, alpha2, alpha_col, alpha_idle: the terms of d(age + cost)/d tau_d at one pair."""
+    c = cells_at(pair, cfg)
+    return (*_age_slope_parts(c), *_cost_slope_parts(c.d, c.w, cfg))
+
+
+def age_total(pair, cfg):
+    alpha1, alpha2, alpha_col, alpha_idle = age_terms(pair, cfg)
+    return alpha1 + alpha2 + alpha_col - alpha_idle
+
+
+def wifi_terms(pair, cfg):
+    """alpha, alpha_col, alpha_idle: the terms of d(cost - throughput)/d tau_w at one pair."""
+    c = cells_at(pair, cfg)
+    return (_wifi_slope(c), *_cost_slope_parts(c.w, c.d, cfg))
 
 
 class TestAgeDerivativeTerms:
     def test_update_rate_term_at_equal_share_point(self):
         for n_d in (2, 4):
             cfg = NetworkConfig(n_d, 3, 0.001)
-            terms = age_payoff_derivative_terms(StrategyPair(1.0 / n_d, 0.3), cfg)
-            assert terms.alpha2 == pytest.approx(n_d**2, rel=1e-12)
+            _, alpha2, _, _ = age_terms(StrategyPair(1.0 / n_d, 0.3), cfg)
+            assert alpha2 == pytest.approx(n_d**2, rel=1e-12)
 
     def test_free_game_has_no_cost_terms(self):
         cfg = NetworkConfig(3, 2, 0.01)
-        terms = age_payoff_derivative_terms(StrategyPair(0.4, 0.6), cfg)
-        assert terms.alpha_col == 0.0
-        assert terms.alpha_idle == 0.0
-        assert terms.total == pytest.approx(terms.alpha1 + terms.alpha2, abs=1e-14)
-
-    def test_total_recomposes_from_parts(self):
-        cfg = NetworkConfig(2, 2, 0.001, w_idle=0.7, w_col=2.0)
-        t = age_payoff_derivative_terms(StrategyPair(0.23, 0.61), cfg)
-        assert t.total == pytest.approx(t.alpha1 + t.alpha2 + t.alpha_col - t.alpha_idle, abs=1e-14)
+        pair = StrategyPair(0.4, 0.6)
+        alpha1, alpha2, alpha_col, alpha_idle = age_terms(pair, cfg)
+        assert alpha_col == 0.0
+        assert alpha_idle == 0.0
+        assert age_total(pair, cfg) == pytest.approx(alpha1 + alpha2, abs=1e-14)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(41)
@@ -84,21 +103,16 @@ class TestAgeDerivativeTerms:
                 *((0.0, 0.0) if rng.random() < 0.5 else (0.001, 1.001)),
             )
             td, tw = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
-            total = age_payoff_derivative_terms(StrategyPair(td, tw), cfg).total
+            total = age_total(StrategyPair(td, tw), cfg)
             assert_matches_fd(total, neg_dsrc_payoff(cfg, tw), td)
-
-    def test_rejects_boundary(self):
-        cfg = NetworkConfig(1, 1, 0.001)
-        with pytest.raises(ValueError):
-            age_payoff_derivative_terms(StrategyPair(0.0, 0.5), cfg)
 
 
 class TestWifiDerivativeTerms:
     def test_free_game_total_is_single_term(self):
         cfg = NetworkConfig(2, 3, 0.01)
-        terms = wifi_payoff_derivative_terms(StrategyPair(0.3, 0.55), cfg)
-        assert terms.alpha_col == 0.0 and terms.alpha_idle == 0.0
-        assert terms.total == terms.alpha
+        alpha, alpha_col, alpha_idle = wifi_terms(StrategyPair(0.3, 0.55), cfg)
+        assert alpha_col == 0.0 and alpha_idle == 0.0
+        assert alpha + alpha_col - alpha_idle == alpha
 
     def test_equal_share_point_simplification(self):
         beta = 0.001
@@ -115,8 +129,8 @@ class TestWifiDerivativeTerms:
                 * q_w
                 / (1 - q_d * q_w + beta) ** 2
             )
-            terms = wifi_payoff_derivative_terms(StrategyPair(0.3, tau_w), cfg)
-            assert terms.alpha == pytest.approx(expected, rel=1e-12)
+            alpha, _, _ = wifi_terms(StrategyPair(0.3, tau_w), cfg)
+            assert alpha == pytest.approx(expected, rel=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -128,13 +142,8 @@ class TestWifiDerivativeTerms:
                 *((0.0, 0.0) if rng.random() < 0.5 else (0.001, 1.001)),
             )
             td, tw = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
-            total = wifi_payoff_derivative_terms(StrategyPair(td, tw), cfg).total
-            assert_matches_fd(total, neg_wifi_payoff(cfg, td), tw)
-
-    def test_rejects_boundary(self):
-        cfg = NetworkConfig(1, 1, 0.001)
-        with pytest.raises(ValueError):
-            wifi_payoff_derivative_terms(StrategyPair(0.5, 0.0), cfg)
+            alpha, alpha_col, alpha_idle = wifi_terms(StrategyPair(td, tw), cfg)
+            assert_matches_fd(alpha + alpha_col - alpha_idle, neg_wifi_payoff(cfg, td), tw)
 
 
 def alpha1_rewritten(pair, config):
@@ -157,7 +166,7 @@ def alpha1_rewritten(pair, config):
 def test_alpha1_rewrite_is_the_same_function(n_d, n_w, beta, tau_d, tau_w):
     cfg = NetworkConfig(n_d, n_w, beta)
     pair = StrategyPair(tau_d, tau_w)
-    direct = age_payoff_derivative_terms(pair, cfg).alpha1
+    direct, _, _, _ = age_terms(pair, cfg)
     assert alpha1_rewritten(pair, cfg) == pytest.approx(direct, rel=1e-12)
 
 
@@ -199,8 +208,8 @@ class TestAlpha2Root:
         for n_d in (2, 3, 5):
             cfg = NetworkConfig(n_d, 1, 0.001)
             root = alpha2_root(n_d, 0.001, q_w=1.0)
-            terms = age_payoff_derivative_terms(StrategyPair(root, 0.0), cfg)
-            assert abs(terms.alpha2) <= 1e-9
+            _, alpha2, _, _ = age_terms(StrategyPair(root, 0.0), cfg)
+            assert abs(alpha2) <= 1e-9
 
     def test_root_below_equal_share(self):
         rng = np.random.default_rng(44)
@@ -237,13 +246,13 @@ class TestVerifyQuasiconcavity:
         assert report.sign_change_count == 0
         assert report.sign_pattern_ok
         for tau_d in (0.05, 0.3, 0.7, 0.95):
-            assert age_payoff_derivative_terms(StrategyPair(tau_d, 0.2), cfg).total < 0.0
+            assert age_total(StrategyPair(tau_d, 0.2), cfg) < 0.0
 
     def test_derivative_positive_beyond_equal_share(self):
         for n_d in (2, 5):
             cfg = NetworkConfig(n_d, 2, 0.001)
             for tau_d in np.linspace(1.0 / n_d, 0.95, 7):
-                assert age_payoff_derivative_terms(StrategyPair(float(tau_d), 0.3), cfg).total > 0.0
+                assert age_total(StrategyPair(float(tau_d), 0.3), cfg) > 0.0
 
     def test_wifi_side_report(self):
         report = verify_quasiconcavity(WIFI, NetworkConfig(2, 5, 0.001, 0.001, 1.001), 0.4)

@@ -171,6 +171,19 @@ def test_out_of_range_beta_is_config_error(capsys):
     assert main(["nash", "--beta", "2.0"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["nash", "--w-idle", "nan"], "error: cost weights must be finite and non-negative"),
+    (["nash", "--w-col", "inf"], "error: cost weights must be finite and non-negative"),
+    (["nash", "--eps-tie", "nan"], "error: eps_tie must be finite and non-negative"),
+    (["stackelberg", "--eps-tie", "nan"], "error: eps_tie must be finite and non-negative"),
+], ids=["w-idle-nan", "w-col-inf", "nash-eps-tie-nan", "stackelberg-eps-tie-nan"])
+def test_non_finite_weight_or_tie_tolerance_is_config_error(argv, message, capsys):
+    assert main(argv + ["--nd", "2", "--nw", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_unknown_flag_is_config_error(capsys):
     assert main(["nash", "--frequency", "5.9"]) == 1
 

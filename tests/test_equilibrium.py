@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from csma_game.analysis import alpha2_root
-from csma_game.equilibrium import (
-    _tie_mask,
-    best_response,
-    enumerate_nash,
-    single_network_optimum,
-    solve_stackelberg,
-)
+from csma_game.equilibrium import _br_mask, _tie_mask, enumerate_nash, single_network_optimum, solve_stackelberg
 from csma_game.game import GridSpec, PayoffSurfaces, build_surfaces, rescale_age_per_opponent
 from csma_game.model import DSRC, WIFI, NetworkConfig
 
@@ -35,33 +29,37 @@ def flat_dsrc_surfaces():
     )
 
 
+def replies(responder, surf, opponent_tau):
+    """The responder's tied best replies to one opponent grid value, read from its mask."""
+    mask = _br_mask(responder, surf, 0.0)
+    o = surf.grid.index_of(opponent_tau)
+    return tuple(surf.grid.points()[mask[:, o] if responder == DSRC else mask[o]].tolist())
+
+
 class TestBestResponse:
     def test_constant_column_ties_whole_grid(self):
-        br = best_response(DSRC, flat_dsrc_surfaces())
-        assert br.response_set(0.3) == tuple(float(t) for t in br.responder_taus)
+        surf = flat_dsrc_surfaces()
+        assert replies(DSRC, surf, 0.3) == tuple(surf.grid.points().tolist())
 
     def test_lone_dsrc_node_maxes_out(self):
         surf = free_game(1, 2)
-        br = best_response(DSRC, surf)
         for tau_w in (0.2, 0.5, 0.9):
-            assert br.response_set(tau_w) == (0.99,)
+            assert replies(DSRC, surf, tau_w) == (0.99,)
 
     def test_mutual_best_replies_at_symmetric_point(self):
         surf = free_game(2, 2)
         for player in (DSRC, WIFI):
-            replies = best_response(player, surf).response_set(0.46)
-            assert any(abs(t - 0.46) <= 1e-9 for t in replies)
+            assert any(abs(t - 0.46) <= 1e-9 for t in replies(player, surf, 0.46))
 
     def test_unknown_opponent_value_rejected(self):
         with pytest.raises(ValueError):
-            best_response(DSRC, free_game(1, 1)).response_set(0.015)
+            replies(DSRC, free_game(1, 1), 0.015)
 
     def test_bad_inputs(self):
         surf = free_game(1, 1)
-        with pytest.raises(ValueError):
-            best_response("lte", surf)
-        with pytest.raises(ValueError):
-            best_response(DSRC, surf, eps_tie=-1.0)
+        for eps_tie in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                _br_mask(DSRC, surf, eps_tie)
 
 
 REFERENCE_FREE_NASH = {
@@ -86,8 +84,8 @@ class TestEnumerateNash:
 
     def test_results_survive_one_shot_deviation_scan(self):
         surf = free_game(2, 5)
-        u_d = surf.payoff_dsrc_grid()
-        u_w = surf.payoff_wifi_grid()
+        u_d = surf.payoff_dsrc
+        u_w = surf.payoff_wifi
         results = enumerate_nash(surf)
         assert results
         for res in results:
@@ -116,7 +114,7 @@ class TestEnumerateNash:
     def test_free_game_best_replies_invariant_to_affine_maps(self):
         cfg = NetworkConfig(2, 5, 0.001)
         maps = (lambda age, thr: 2.0 * age + 7.0, lambda age, thr: 0.5 * age + 3.0)
-        masks = [best_response(DSRC, build_surfaces(cfg, rescale=m)).mask for m in maps]
+        masks = [_br_mask(DSRC, build_surfaces(cfg, rescale=m), 0.0) for m in maps]
         assert np.array_equal(masks[0], masks[1])
 
 
@@ -167,8 +165,8 @@ class TestStackelberg:
 
     def test_leader_beats_nash_when_follower_replies_are_unique(self):
         surf = free_game(2, 2)
-        u_d = surf.payoff_dsrc_grid()
-        u_w = surf.payoff_wifi_grid()
+        u_d = surf.payoff_dsrc
+        u_w = surf.payoff_wifi
         unique_w = ((u_w == u_w.max(axis=1, keepdims=True)).sum(axis=1) == 1).all()
         unique_d = ((u_d == u_d.max(axis=0, keepdims=True)).sum(axis=0) == 1).all()
         assert unique_w and unique_d
@@ -181,8 +179,8 @@ class TestStackelberg:
 
     def test_guarantee_dominates_pessimistic_value_of_any_strategy(self):
         surf = free_game(2, 5)
-        u_d = surf.payoff_dsrc_grid()
-        u_w = surf.payoff_wifi_grid()
+        u_d = surf.payoff_dsrc
+        u_w = surf.payoff_wifi
         res = solve_stackelberg(DSRC, surf)
         fol_best = u_w.max(axis=1, keepdims=True)
         rng = np.random.default_rng(5)
@@ -203,10 +201,10 @@ def costed_game():
 class TestSharedSolverInputs:
     def test_cached_payoffs_equal_fresh_and_are_read_only(self):
         surf = costed_game()
-        assert surf.payoff_dsrc_grid() is surf.payoff_dsrc_grid()
-        assert surf.payoff_dsrc_grid().tobytes() == (-surf.age_rescaled - surf.cost).tobytes()
-        assert surf.payoff_wifi_grid().tobytes() == (surf.throughput - surf.cost).tobytes()
-        for u in (surf.payoff_dsrc_grid(), surf.payoff_wifi_grid()):
+        assert surf.payoff_dsrc is surf.payoff_dsrc
+        assert surf.payoff_dsrc.tobytes() == (-surf.age_rescaled - surf.cost).tobytes()
+        assert surf.payoff_wifi.tobytes() == (surf.throughput - surf.cost).tobytes()
+        for u in (surf.payoff_dsrc, surf.payoff_wifi):
             with pytest.raises(ValueError):
                 u[0, 0] = 0.0
 
@@ -216,12 +214,12 @@ class TestSharedSolverInputs:
         u_d, u_w = -surf.age_rescaled - surf.cost, surf.throughput - surf.cost
         assert _tie_mask(u_d, 0, 0.1).sum() > _tie_mask(u_d, 0, 0.0).sum()  # eps_tie matters here
         for eps in order:
-            br_d, br_w = best_response(DSRC, surf, eps), best_response(WIFI, surf, eps)
-            assert np.array_equal(br_d.mask, _tie_mask(u_d, 0, eps))
-            assert np.array_equal(br_w.mask, _tie_mask(u_w, 1, eps).T)
-            assert best_response(DSRC, surf, eps).mask is br_d.mask
-            assert best_response(WIFI, surf, eps).mask.base is br_w.mask.base
-            for mask in (br_d.mask, br_w.mask):
+            br_d, br_w = _br_mask(DSRC, surf, eps), _br_mask(WIFI, surf, eps)
+            assert np.array_equal(br_d, _tie_mask(u_d, 0, eps))
+            assert np.array_equal(br_w, _tie_mask(u_w, 1, eps))
+            assert _br_mask(DSRC, surf, eps) is br_d
+            assert _br_mask(WIFI, surf, eps) is br_w
+            for mask in (br_d, br_w):
                 with pytest.raises(ValueError):
                     mask[0, 0] = not mask[0, 0]
             # the solvers on the shared surfaces answer as on freshly built ones

@@ -7,25 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cells import cells_at
 from csma_game import game
-from csma_game.game import (
-    GridSpec,
-    build_surfaces,
-    rescale_age,
-    rescale_age_per_opponent,
-    wastage_cost,
-)
-from csma_game.metrics import aoi_closed_form, throughput_closed_form
-from csma_game.model import (
-    DSRC,
-    WIFI,
-    AccessVector,
-    NetworkConfig,
-    StrategyPair,
-    _Axis,
-    joint_idle_prob,
-    success_prob_total,
-)
+from csma_game.game import GridSpec, _cost_expr, build_surfaces, rescale_age, rescale_age_per_opponent
+from csma_game.metrics import _aoi_expr, _throughput_expr
+from csma_game.model import AccessVector, NetworkConfig, StrategyPair, _Axis
 
 
 class TestGridSpec:
@@ -60,16 +46,16 @@ class TestGridSpec:
 class TestWastageCost:
     def test_free_spectrum(self):
         cfg = NetworkConfig(2, 2, 0.001)
-        assert wastage_cost(StrategyPair(0.3, 0.7), cfg) == 0.0
+        assert _cost_expr(cells_at(StrategyPair(0.3, 0.7), cfg), cfg) == 0.0
 
     def test_hand_value(self):
         cfg = NetworkConfig(1, 1, 0.001, w_idle=1.0, w_col=1.0)
         # p_idle = 0.25, p_succ = 0.5, p_col = 0.25
-        assert wastage_cost(StrategyPair(0.5, 0.5), cfg) == pytest.approx(0.5, rel=1e-12)
+        assert _cost_expr(cells_at(StrategyPair(0.5, 0.5), cfg), cfg) == pytest.approx(0.5, rel=1e-12)
 
     def test_aggressive_limit_is_pure_collision(self):
         cfg = NetworkConfig(2, 2, 0.001, w_idle=0.4, w_col=2.5)
-        cost = wastage_cost(StrategyPair(0.999999, 0.999999), cfg)
+        cost = _cost_expr(cells_at(StrategyPair(0.999999, 0.999999), cfg), cfg)
         assert cost == pytest.approx(2.5, abs=1e-4)
 
     @given(
@@ -84,10 +70,10 @@ class TestWastageCost:
     def test_expansion_matches_kernels(self, n_dsrc, n_wifi, tau_d, tau_w, w_idle, w_col):
         cfg = NetworkConfig(n_dsrc, n_wifi, 0.001, w_idle=w_idle, w_col=w_col)
         v = AccessVector.homogeneous(cfg, StrategyPair(tau_d, tau_w))
-        p_idle = joint_idle_prob(v)
-        p_succ = success_prob_total(v)
+        p_idle = v._kernels.idle
+        p_succ = v._kernels.success
         expected = w_idle * p_idle + w_col * (1.0 - p_idle - p_succ)
-        assert wastage_cost(StrategyPair(tau_d, tau_w), cfg) == pytest.approx(expected, abs=1e-12)
+        assert _cost_expr(cells_at(StrategyPair(tau_d, tau_w), cfg), cfg) == pytest.approx(expected, abs=1e-12)
 
 
 class TestRescaleMaps:
@@ -203,9 +189,9 @@ class TestSurfaces:
         for tau_d, tau_w in [(0.01, 0.01), (0.46, 0.46), (0.99, 0.2), (0.33, 0.87)]:
             i, j = grid.index_of(tau_d), grid.index_of(tau_w)
             pair = StrategyPair(tau_d, tau_w)
-            assert surf.age[i, j] == pytest.approx(aoi_closed_form(pair, cfg), rel=1e-12)
-            assert surf.throughput[i, j] == pytest.approx(throughput_closed_form(pair, cfg), rel=1e-12)
-            assert surf.cost[i, j] == pytest.approx(wastage_cost(pair, cfg), rel=1e-12)
+            assert surf.age[i, j] == pytest.approx(_aoi_expr(cells_at(pair, cfg)), rel=1e-12)
+            assert surf.throughput[i, j] == pytest.approx(_throughput_expr(cells_at(pair, cfg)), rel=1e-12)
+            assert surf.cost[i, j] == pytest.approx(_cost_expr(cells_at(pair, cfg), cfg), rel=1e-12)
 
     def test_surfaces_are_read_only(self):
         surf = build_surfaces(NetworkConfig(1, 1, 0.001))
@@ -217,25 +203,21 @@ class TestSurfaces:
         surf = build_surfaces(cfg)
         for tau_d, tau_w in [(0.05, 0.9), (0.46, 0.46)]:
             i, j = surf.grid.index_of(tau_d), surf.grid.index_of(tau_w)
-            pair = StrategyPair(tau_d, tau_w)
-            identity = surf.payoff(DSRC, pair) + surf.cost[i, j] + surf.age_rescaled[i, j]
+            identity = surf.payoff_dsrc[i, j] + surf.cost[i, j] + surf.age_rescaled[i, j]
             assert identity == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError):
-            surf.payoff(DSRC, StrategyPair(0.015, 0.2))
-        with pytest.raises(ValueError):
-            surf.payoff(WIFI, StrategyPair(0.2, 0.015))
-        with pytest.raises(ValueError):
-            surf.payoff("lte", StrategyPair(0.05, 0.9))
+            surf.grid.index_of(0.015)
 
     def test_wifi_payoff_is_raw_throughput_when_free(self):
         cfg = NetworkConfig(2, 2, 0.001)
         surf = build_surfaces(cfg)
-        pair = StrategyPair(0.31, 0.44)
-        assert surf.payoff(WIFI, pair) == pytest.approx(throughput_closed_form(pair, cfg), rel=1e-12)
+        i, j = surf.grid.index_of(0.31), surf.grid.index_of(0.44)
+        thr = _throughput_expr(cells_at(StrategyPair(0.31, 0.44), cfg))
+        assert surf.payoff_wifi[i, j] == pytest.approx(thr, rel=1e-12)
 
     def test_free_game_best_replies_minimize_raw_age(self):
         surf = build_surfaces(NetworkConfig(2, 2, 0.001))
-        u_d = surf.payoff_dsrc_grid()
+        u_d = surf.payoff_dsrc
         assert np.array_equal(u_d.argmax(axis=0), surf.age.argmin(axis=0))
 
     def test_payoff_continuity_under_grid_refinement(self):
@@ -245,7 +227,7 @@ class TestSurfaces:
         for step in (0.01, 0.001):
             surf = build_surfaces(cfg, GridSpec(lo=0.30, hi=0.50, step=step), rescale=keep_raw)
             j = surf.grid.index_of(0.40)
-            for u in (surf.payoff_dsrc_grid()[:, j], surf.payoff_wifi_grid()[:, j]):
+            for u in (surf.payoff_dsrc[:, j], surf.payoff_wifi[:, j]):
                 diffs.setdefault(step, 0.0)
                 diffs[step] = max(diffs[step], float(np.abs(np.diff(u)).max()))
         assert diffs[0.01] / diffs[0.001] >= 5.0

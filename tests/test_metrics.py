@@ -10,13 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csma_game.metrics import (
-    aoi_closed_form,
-    aoi_node,
-    inter_update_moments,
-    per_node_throughput,
-    throughput_closed_form,
-)
+from cells import cells_at
+from csma_game.metrics import _aoi_expr, _throughput_expr, aoi_node, inter_update_moments, per_node_throughput
 from csma_game.model import (
     DSRC,
     WIFI,
@@ -169,26 +164,19 @@ class TestAoiNode:
 class TestClosedForms:
     def test_aoi_matches_pinned_lone_network_values(self):
         cfg2 = NetworkConfig(n_dsrc=2, n_wifi=0, beta=0.001)
-        assert aoi_closed_form(StrategyPair(0.0268, 0.0), cfg2) == pytest.approx(2.5576, abs=5e-5)
+        assert _aoi_expr(cells_at(StrategyPair(0.0268, 0.0), cfg2)) == pytest.approx(2.5576, abs=5e-5)
         cfg10 = NetworkConfig(n_dsrc=10, n_wifi=0, beta=0.001)
-        assert aoi_closed_form(StrategyPair(0.0100, 0.0), cfg10) == pytest.approx(11.0723, abs=5e-5)
+        assert _aoi_expr(cells_at(StrategyPair(0.0100, 0.0), cfg10)) == pytest.approx(11.0723, abs=5e-5)
 
     def test_throughput_matches_pinned_lone_network_value(self):
         cfg = NetworkConfig(n_dsrc=0, n_wifi=2, beta=0.001)
-        assert throughput_closed_form(StrategyPair(0.0, 0.0306), cfg) == pytest.approx(0.4847, abs=5e-5)
+        assert _throughput_expr(cells_at(StrategyPair(0.0, 0.0306), cfg)) == pytest.approx(0.4847, abs=5e-5)
 
     def test_throughput_vanishes_without_senders(self):
         cfg = NetworkConfig(n_dsrc=1, n_wifi=2, beta=0.001)
-        assert throughput_closed_form(StrategyPair(0.3, 1e-9), cfg) == pytest.approx(0.0, abs=1e-8)
+        assert _throughput_expr(cells_at(StrategyPair(0.3, 1e-9), cfg)) == pytest.approx(0.0, abs=1e-8)
         lone = NetworkConfig(n_dsrc=2, n_wifi=0, beta=0.001)
-        assert throughput_closed_form(StrategyPair(0.3, 0.0), lone) == 0.0
-
-    def test_aoi_requires_a_dsrc_sender(self):
-        cfg = NetworkConfig(n_dsrc=1, n_wifi=1, beta=0.001)
-        with pytest.raises(ValueError):
-            aoi_closed_form(StrategyPair(0.0, 0.5), cfg)
-        with pytest.raises(ValueError):
-            aoi_closed_form(StrategyPair(0.5, 0.5), NetworkConfig(0, 2, 0.001))
+        assert _throughput_expr(cells_at(StrategyPair(0.3, 0.0), lone)) == 0.0
 
     @given(
         st.integers(1, 5),
@@ -201,9 +189,9 @@ class TestClosedForms:
         cfg = NetworkConfig(n_dsrc=n_dsrc, n_wifi=n_wifi, beta=0.001)
         pair = StrategyPair(tau_d, tau_w)
         v = AccessVector.homogeneous(cfg, pair)
-        thr = throughput_closed_form(pair, cfg)
+        thr = _throughput_expr(cells_at(pair, cfg))
         assert per_node_throughput(v, S001, n_dsrc) == pytest.approx(thr, rel=1e-12)
-        age = aoi_closed_form(pair, cfg)
+        age = _aoi_expr(cells_at(pair, cfg))
         assert aoi_node(v, S001, 0) == pytest.approx(age, rel=1e-12)
 
 
@@ -213,21 +201,21 @@ class TestShapeOfTheSurfaces:
             for tau_w in (0.2, 0.5):
                 cfg = NetworkConfig(n_dsrc=1, n_wifi=n_wifi, beta=0.001)
                 ages = [
-                    aoi_closed_form(StrategyPair(0.01 + 0.01 * k, tau_w), cfg) for k in range(99)
+                    _aoi_expr(cells_at(StrategyPair(0.01 + 0.01 * k, tau_w), cfg)) for k in range(99)
                 ]
                 assert all(a >= b - 1e-12 for a, b in zip(ages, ages[1:]))
 
     def test_age_grows_with_wifi_population(self):
         pair = StrategyPair(0.3, 0.2)
         ages = [
-            aoi_closed_form(pair, NetworkConfig(n_dsrc=2, n_wifi=n, beta=0.001)) for n in (1, 2, 5)
+            _aoi_expr(cells_at(pair, NetworkConfig(n_dsrc=2, n_wifi=n, beta=0.001))) for n in (1, 2, 5)
         ]
         assert ages[0] < ages[1] < ages[2]
 
     def test_throughput_drops_with_dsrc_population(self):
         pair = StrategyPair(0.2, 0.3)
         thr = [
-            throughput_closed_form(pair, NetworkConfig(n_dsrc=n, n_wifi=2, beta=0.001))
+            _throughput_expr(cells_at(pair, NetworkConfig(n_dsrc=n, n_wifi=2, beta=0.001)))
             for n in (1, 2, 5)
         ]
         assert thr[0] > thr[1] > thr[2]

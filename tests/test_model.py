@@ -14,9 +14,6 @@ from csma_game.model import (
     SlotLengths,
     StrategyPair,
     _slot_kernels,
-    expected_slot_length,
-    joint_idle_prob,
-    success_prob_total,
 )
 
 
@@ -59,18 +56,18 @@ taus_closed = st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0)), min_size=1,
 
 class TestJointIdleProb:
     def test_all_silent_is_certainly_idle(self):
-        assert joint_idle_prob(vector(0.0, 0.0, 0.0)) == 1.0
+        assert vector(0.0, 0.0, 0.0)._kernels.idle == 1.0
 
     def test_hand_value(self):
         # 0.8^3
-        assert joint_idle_prob(vector(0.2, 0.2, 0.2)) == pytest.approx(0.512, abs=1e-15)
+        assert vector(0.2, 0.2, 0.2)._kernels.idle == pytest.approx(0.512, abs=1e-15)
 
     def test_always_transmitting_node_kills_idle(self):
-        assert joint_idle_prob(vector(1.0, 0.2)) == 0.0
+        assert vector(1.0, 0.2)._kernels.idle == 0.0
 
     @given(taus_lists)
     def test_positive_below_one(self, taus):
-        assert joint_idle_prob(vector(*taus)) > 0.0
+        assert vector(*taus)._kernels.idle > 0.0
 
 
 class TestIdleProbExcluding:
@@ -98,10 +95,10 @@ class TestSuccessProbs:
         assert kernels(0.7).solo[0] == pytest.approx(0.7)
 
     def test_total_hand_value(self):
-        assert success_prob_total(vector(0.2, 0.2, 0.2)) == pytest.approx(0.384, abs=1e-15)
+        assert vector(0.2, 0.2, 0.2)._kernels.success == pytest.approx(0.384, abs=1e-15)
 
     def test_total_all_silent(self):
-        assert success_prob_total(vector(0.0, 0.0)) == 0.0
+        assert vector(0.0, 0.0)._kernels.success == 0.0
 
     @given(taus_lists)
     def test_success_splits_into_node_and_rest(self, taus):
@@ -114,8 +111,8 @@ class TestSuccessProbs:
     @given(taus_lists)
     def test_disjoint_event_bounds(self, taus):
         v = vector(*taus)
-        p_idle = joint_idle_prob(v)
-        p_succ = success_prob_total(v)
+        p_idle = v._kernels.idle
+        p_succ = v._kernels.success
         assert 0.0 <= p_succ <= 1.0
         assert p_idle + p_succ <= 1.0 + 1e-14
 
@@ -125,8 +122,8 @@ def test_brute_force_oracle_equivalence(taus):
     k = kernels(*taus)
     p_idle, p_succ, p_excl = brute_force_probs(taus)
     assert abs(k.idle - p_idle) <= 1e-12
-    assert abs(joint_idle_prob(vector(*taus)) - p_idle) <= 1e-12
-    assert abs(success_prob_total(vector(*taus)) - sum(p_succ)) <= 1e-12
+    assert abs(vector(*taus)._kernels.idle - p_idle) <= 1e-12
+    assert abs(vector(*taus)._kernels.success - sum(p_succ)) <= 1e-12
     assert abs(k.collision - (1.0 - p_idle - sum(p_succ))) <= 1e-12
     for i in range(len(taus)):
         assert abs(k.solo[i] - p_succ[i]) <= 1e-12
@@ -138,16 +135,16 @@ class TestExpectedSlotLength:
     def test_hand_value(self):
         s = SlotLengths.from_beta(0.001)
         # 0.001*0.512 + 1.001*0.384 + 1.001*0.104
-        assert expected_slot_length(vector(0.2, 0.2, 0.2), s) == pytest.approx(0.489, abs=1e-12)
+        assert vector(0.2, 0.2, 0.2)._kernels.mean_length(s) == pytest.approx(0.489, abs=1e-12)
 
     def test_all_silent_gives_idle_length(self):
         s = SlotLengths(idle=0.5, success=2.0, collision=3.0)
-        assert expected_slot_length(vector(0.0, 0.0), s) == pytest.approx(0.5)
+        assert vector(0.0, 0.0)._kernels.mean_length(s) == pytest.approx(0.5)
 
     @given(taus_lists)
     def test_convex_combination_bounds(self, taus):
         s = SlotLengths(idle=0.25, success=1.5, collision=2.5)
-        value = expected_slot_length(vector(*taus), s)
+        value = vector(*taus)._kernels.mean_length(s)
         assert 0.25 - 1e-12 <= value <= 2.5 + 1e-12
 
 
@@ -176,7 +173,14 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             NetworkConfig(n_dsrc=1, n_wifi=1, beta=0.1, w_idle=-0.1)
         lone = NetworkConfig(n_dsrc=0, n_wifi=3, beta=0.1)
-        assert lone.n_total == 3
+        assert (lone.n_dsrc, lone.n_wifi) == (0, 3)
+
+    @pytest.mark.parametrize("weights", [
+        {"w_idle": float("nan")}, {"w_col": float("nan")}, {"w_idle": float("inf")}, {"w_col": float("inf")},
+    ], ids=["w_idle-nan", "w_col-nan", "w_idle-inf", "w_col-inf"])
+    def test_network_config_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="cost weights must be finite and non-negative"):
+            NetworkConfig(n_dsrc=1, n_wifi=1, beta=0.1, **weights)
 
     def test_strategy_pair_bounds(self):
         with pytest.raises(ValueError):
@@ -214,4 +218,4 @@ class TestDomainTypes:
         v = AccessVector.homogeneous(config, StrategyPair(0.4, 0.1))
         assert v.taus == (0.4, 0.4, 0.1, 0.1, 0.1)
         assert v.tags == (DSRC, DSRC, WIFI, WIFI, WIFI)
-        assert len(v) == config.n_total
+        assert len(v) == config.n_dsrc + config.n_wifi

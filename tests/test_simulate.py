@@ -8,16 +8,7 @@ import pytest
 
 from csma_game import simulate
 from csma_game.metrics import aoi_node, inter_update_moments, per_node_throughput
-from csma_game.model import (
-    DSRC,
-    WIFI,
-    AccessVector,
-    NetworkConfig,
-    SlotLengths,
-    StrategyPair,
-    joint_idle_prob,
-    success_prob_total,
-)
+from csma_game.model import DSRC, WIFI, AccessVector, NetworkConfig, SlotLengths, StrategyPair
 from csma_game.simulate import NoProgressError, SimConfig, SimResult, run_simulation
 
 S001 = SlotLengths.from_beta(0.001)
@@ -132,8 +123,8 @@ def test_slot_counts_partition_the_window():
 def test_slot_type_frequencies_match_kernels():
     v = AccessVector((0.25, 0.4, 0.1), (DSRC, WIFI, WIFI))
     res = run_simulation(v, S001, SimConfig(horizon_slots=300_000, seed=21))
-    p_idle = joint_idle_prob(v)
-    p_succ = success_prob_total(v)
+    p_idle = v._kernels.idle
+    p_succ = v._kernels.success
     targets = (p_idle, p_succ, 1.0 - p_idle - p_succ)
     for frac, se, target in zip(res.slot_fractions(), res.slot_fraction_se(), targets):
         assert abs(frac - target) <= 3.0 * se
