@@ -29,6 +29,7 @@ from .model import DSRC, NetworkConfig, _Axis, _Cells, _require_player
 _EDGE_MARGIN = 1e-4
 _ZERO_BRIDGE = 1e-12
 _NEWTON_STEPS = 50
+_NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,12 @@ def tau_prime_upper_bound(beta: float, n_d: int, q_w: float = 1.0) -> float | No
     return 1.0 - base ** (1.0 / n_d)
 
 
-def alpha2_root(n_d: int, beta: float, q_w: float = 1.0, tol: float = 1e-12) -> float:
+def alpha2_root(n_d: int, beta: float, q_w: float = 1.0) -> float:
     """Zero of the update-rate term: solves 1 - n_d*t = (q_w/(1+beta)) (1-t)^n_d.
 
     With s = q_w/(1+beta) < 1, g(t) = 1 - n_d t - s (1-t)^n_d is decreasing and
     concave on [0, 1/n_d] and g(1/n_d) <= 0, so Newton's method from 1/n_d falls
-    monotonically onto the root. It stops once a step is at most ``tol`` (or
+    monotonically onto the root. It stops once a step is at most ``_NEWTON_TOL`` (or
     after ``_NEWTON_STEPS``); an array ``q_w`` gives the root of each entry.
     """
     q_w = np.asarray(q_w, dtype=float)
@@ -110,7 +111,7 @@ def alpha2_root(n_d: int, beta: float, q_w: float = 1.0, tol: float = 1e-12) -> 
         s_r1 = s * one ** (n_d - 1)
         step = (1.0 - n_d * t - s_r1 * one) / (n_d - n_d * s_r1)  # -g(t) / g'(t)
         t = np.where(moving, t + step, t)
-        moving &= np.abs(step) > tol
+        moving &= np.abs(step) > _NEWTON_TOL
         if not moving.any():
             break
     return float(t) if t.ndim == 0 else t

@@ -64,7 +64,6 @@ _DEFAULTS = {
     "out": None,
     "tau_d": None,
     "tau_w": None,
-    "eps_tie": "0",
     "kind": "both",
     "n": "2",
     "player": "both",
@@ -83,9 +82,9 @@ _SHARED_FLAGS = (
 
 _COMMAND_FLAGS = {
     "metrics": _SHARED_FLAGS + ("tau_d", "tau_w"),
-    "nash": _SHARED_FLAGS + ("eps_tie", "rescale"),
-    "sweep": _SHARED_FLAGS + ("eps_tie", "rescale"),
-    "stackelberg": _SHARED_FLAGS + ("eps_tie", "rescale", "leader"),
+    "nash": _SHARED_FLAGS + ("rescale",),
+    "sweep": _SHARED_FLAGS + ("rescale",),
+    "stackelberg": _SHARED_FLAGS + ("rescale", "leader"),
     "optimum": _SHARED_FLAGS + ("kind", "n"),
     "verify": _SHARED_FLAGS + ("player", "tau_opp", "scan_step"),
     "simulate": _SHARED_FLAGS + ("tau_d", "tau_w", "seed", "horizon", "warmup"),
@@ -208,19 +207,17 @@ def _rescale_fn(opt: _Options):
 _NASH_COLUMNS = ["tau_d", "tau_w", "age", "throughput", "u_dsrc", "u_wifi"]
 
 
-def _nash_rows(config: NetworkConfig, grid: GridSpec, eps_tie: float, rescale, prefix: tuple) -> list[tuple]:
+def _nash_rows(config: NetworkConfig, grid: GridSpec, rescale, prefix: tuple) -> list[tuple]:
     surfaces = build_surfaces(config, grid, rescale=rescale)
     return [
         prefix + (r.pair.tau_d, r.pair.tau_w, r.age, r.throughput, r.payoff_dsrc, r.payoff_wifi)
-        for r in enumerate_nash(surfaces, eps_tie=eps_tie)
+        for r in enumerate_nash(surfaces)
     ]
 
 
 def _run_nash(opt: _Options):
     config = _network(opt, opt.number("nd", int), opt.number("nw", int))
-    rows = _nash_rows(
-        config, _grid(opt), opt.number("eps_tie"), _rescale_fn(opt), (config.n_dsrc, config.n_wifi)
-    )
+    rows = _nash_rows(config, _grid(opt), _rescale_fn(opt), (config.n_dsrc, config.n_wifi))
     return ["nd", "nw"] + _NASH_COLUMNS, rows
 
 
@@ -232,13 +229,12 @@ def _run_sweep(opt: _Options):
     if len(w_idle_list) != len(w_col_list):
         raise ConfigError("w_idle and w_col must list the same number of values (weights are paired)")
     grid = _grid(opt)
-    eps = opt.number("eps_tie")
     rescale = _rescale_fn(opt)
     rows = []
     cells = sorted(product(nd_list, nw_list, zip(w_idle_list, w_col_list)))
     for nd, nw, (w_idle, w_col) in cells:
         config = _network(opt, nd, nw, w_idle=w_idle, w_col=w_col)
-        rows.extend(_nash_rows(config, grid, eps, rescale, (nd, nw, w_idle, w_col)))
+        rows.extend(_nash_rows(config, grid, rescale, (nd, nw, w_idle, w_col)))
     return ["nd", "nw", "w_idle", "w_col"] + _NASH_COLUMNS, rows
 
 
@@ -246,13 +242,12 @@ def _run_stackelberg(opt: _Options):
     leader = opt.choice("leader", (DSRC, WIFI, "both"))
     leaders = (DSRC, WIFI) if leader == "both" else (leader,)
     grid = _grid(opt)
-    eps = opt.number("eps_tie")
     rescale = _rescale_fn(opt)
     rows = {lead: [] for lead in leaders}  # printed leader by leader; each cell is built once
     for nd, nw in sorted(product(opt.numbers("nd", int), opt.numbers("nw", int))):
         surfaces = build_surfaces(_network(opt, nd, nw), grid, rescale=rescale)
         for lead in leaders:
-            res = solve_stackelberg(lead, surfaces, eps_tie=eps)
+            res = solve_stackelberg(lead, surfaces)
             rows[lead].append((lead, nd, nw, res.pair.tau_d, res.pair.tau_w, res.age, res.throughput,
                                res.leader_guaranteed_payoff))
     header = ["leader", "nd", "nw", "tau_d", "tau_w", "age", "throughput", "leader_payoff"]
@@ -277,6 +272,7 @@ def _run_metrics(opt: _Options):
     tau_w = opt.number("tau_w")
     if (tau_d is None) == (tau_w is None):
         raise ConfigError("metrics needs exactly one fixed strategy: give --tau-d or --tau-w")
+    StrategyPair(tau_d=tau_d or 0.0, tau_w=tau_w or 0.0)  # rejects a fixed strategy outside [0, 1)
     config = _network(opt, opt.number("nd", int), opt.number("nw", int))
     pts = _grid(opt).points()
     if tau_w is not None:
@@ -392,6 +388,9 @@ def main(argv=None) -> int:
         return 1
     except (NoProgressError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the size, as for a grid too fine to hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     try:
         if out is None:

@@ -1,19 +1,18 @@
-"""Best responses, exhaustive Nash enumeration, and pessimistic Stackelberg.
+"""Exhaustive Nash enumeration, pessimistic Stackelberg, and lone-network optima.
 
-Everything here works on the finite strategy grid: best responses keep all
-ties near the column maximum, Nash enumeration scans every grid pair for
-mutual best responses (so multiple equilibria are found, not just one),
-and the Stackelberg leader maximizes its worst payoff over the follower's
-tie set. Lone-network optima additionally refine off the grid.
+Everything here works on the finite strategy grid: Nash enumeration scans
+every grid pair for mutual best responses (so multiple equilibria are found,
+not just one), and the Stackelberg leader maximizes its worst payoff over the
+follower's tied best responses. Lone-network optima additionally refine off
+the grid.
 
-Tie handling: the default ``eps_tie = 0`` keeps exact maxima only (a
-constant column still yields the whole grid, since every entry equals the
-maximum); the reference equilibria, including the costed game's multiple
-equilibria, are all exact mutual maxima, so nothing depends on a fuzz
-factor. A positive ``eps_tie`` is available for sensitivity studies and is
-measured relative to each opponent column's payoff spread - the rescaled
-age surface can span ten orders of magnitude, which makes any absolute
-tolerance meaningless across configurations.
+A best response is an exact maximum of the responder's payoff against one
+opponent strategy, and all tied maxima are kept (a constant column yields
+the whole grid). The reference equilibria, including the costed game's
+multiple equilibria, are all exact mutual maxima, so no tolerance is needed.
+Both players' masks are read from ``PayoffSurfaces``, which computes each once
+and raises FloatingPointError where a non-finite payoff leaves an opponent
+strategy without a best response.
 """
 
 from __future__ import annotations
@@ -26,6 +25,9 @@ import numpy as np
 from .game import GridSpec, PayoffSurfaces
 from .metrics import _aoi_expr, _throughput_expr
 from .model import DSRC, WIFI, NetworkConfig, StrategyPair, _Axis, _Cells, _require_player
+
+# Spacing of the last subdivision of a lone-network optimum.
+_REFINE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -60,46 +62,7 @@ class SingleNetworkOptimum:
     value: float
 
 
-def _tie_mask(u: np.ndarray, axis: int, eps_tie: float) -> np.ndarray:
-    """True where u is within eps_tie of the max, relative to the spread along axis.
-
-    Raises FloatingPointError when some column has no best response, which
-    happens only when the payoffs are not finite (``0 * inf`` is NaN).
-    """
-    if not 0.0 <= eps_tie < math.inf:  # also rejects NaN
-        raise ValueError("eps_tie must be finite and non-negative")
-    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf; caught below as an empty column
-        top = u.max(axis=axis, keepdims=True)
-        spread = top - u.min(axis=axis, keepdims=True)
-        mask = u >= top - eps_tie * spread
-    empty = int(np.count_nonzero(~mask.any(axis=axis)))
-    if empty:
-        raise FloatingPointError(
-            f"no best response against {empty} opponent strategies: the payoff surface "
-            "is not finite there, as when (1-tau)^n underflows for large node counts"
-        )
-    return mask
-
-
-def _br_mask(responder: str, surfaces: PayoffSurfaces, eps_tie: float) -> np.ndarray:
-    """The responder's best-response mask, indexed ``[i, j]`` like the surfaces.
-
-    Computed once per surfaces, responder and ``eps_tie``, and kept read-only
-    on the surfaces. Each player's mask is kept on its own: one that raises
-    does not stop the other from being used.
-    """
-    key = (responder, eps_tie)
-    if key not in surfaces._masks:
-        if responder == DSRC:
-            mask = _tie_mask(surfaces.payoff_dsrc, 0, eps_tie)
-        else:
-            mask = _tie_mask(surfaces.payoff_wifi, 1, eps_tie)
-        mask.setflags(write=False)
-        surfaces._masks[key] = mask
-    return surfaces._masks[key]
-
-
-def enumerate_nash(surfaces: PayoffSurfaces, eps_tie: float = 0.0) -> list[NashResult]:
+def enumerate_nash(surfaces: PayoffSurfaces) -> list[NashResult]:
     """Every grid pair at which both strategies are mutual best responses.
 
     The list is ordered lexicographically by (tau_d, tau_w). An empty list
@@ -108,7 +71,7 @@ def enumerate_nash(surfaces: PayoffSurfaces, eps_tie: float = 0.0) -> list[NashR
     strategy without a best response. Both best-response masks are kept on
     the surfaces, where ``solve_stackelberg`` reuses them.
     """
-    both = _br_mask(DSRC, surfaces, eps_tie) & _br_mask(WIFI, surfaces, eps_tie)
+    both = surfaces._br_dsrc & surfaces._br_wifi
     i, j = np.nonzero(both)
     pts = surfaces.grid.points()
     columns = (pts[i], pts[j], surfaces.age[i, j], surfaces.throughput[i, j],
@@ -119,7 +82,7 @@ def enumerate_nash(surfaces: PayoffSurfaces, eps_tie: float = 0.0) -> list[NashR
     ]
 
 
-def solve_stackelberg(leader: str, surfaces: PayoffSurfaces, eps_tie: float = 0.0) -> StackelbergResult:
+def solve_stackelberg(leader: str, surfaces: PayoffSurfaces) -> StackelbergResult:
     """Leader strategy maximizing the minimum leader payoff over follower ties.
 
     Ties in the leader's max-min value break toward the smallest strategy;
@@ -128,9 +91,9 @@ def solve_stackelberg(leader: str, surfaces: PayoffSurfaces, eps_tie: float = 0.
     _require_player(leader)
     pts = surfaces.grid.points()
     if leader == DSRC:  # follower picks the tau_w column within each leader row
-        lead_u, fol_mask = surfaces.payoff_dsrc, _br_mask(WIFI, surfaces, eps_tie)
+        lead_u, fol_mask = surfaces.payoff_dsrc, surfaces._br_wifi
     else:
-        lead_u, fol_mask = surfaces.payoff_wifi.T, _br_mask(DSRC, surfaces, eps_tie).T
+        lead_u, fol_mask = surfaces.payoff_wifi.T, surfaces._br_dsrc.T
     pessimistic = lead_u.min(axis=1, where=fol_mask, initial=np.inf)
     li = int(np.argmax(pessimistic))
     replies = np.flatnonzero(fol_mask[li])
@@ -150,12 +113,11 @@ def single_network_optimum(
     n: int,
     beta: float,
     grid: GridSpec | None = None,
-    refine: float = 1e-5,
 ) -> SingleNetworkOptimum:
     """Best strategy for a network that has the medium to itself.
 
     Coarse scan over the grid, then repeated local subdivision around the
-    incumbent down to ``refine`` resolution, never leaving [grid.lo, grid.hi]
+    incumbent down to ``_REFINE`` resolution, never leaving [grid.lo, grid.hi]
     (optima can sit clamped on the boundary). Raises FloatingPointError when
     the optimum value is not finite, as when (1-tau)^n underflows for a very
     large n.
@@ -179,7 +141,7 @@ def single_network_optimum(
         xs = np.linspace(lo, hi, 41)
         vs = loss(xs)
         k = int(np.argmin(vs))
-        if xs[1] - xs[0] <= refine:
+        if xs[1] - xs[0] <= _REFINE:
             tau_star = float(xs[k])
             value = float(vs[k])
             break

@@ -51,13 +51,6 @@ class GridSpec:
     def points(self) -> np.ndarray:
         return self.lo + self.step * np.arange(self.n_points)
 
-    def index_of(self, tau: float) -> int:
-        """Index of a grid point; raises for values off the grid."""
-        k = round((tau - self.lo) / self.step)
-        if not 0 <= k < self.n_points or abs(self.lo + k * self.step - tau) > 1e-9:
-            raise ValueError(f"{tau} is not a point of the grid [{self.lo}, {self.hi}] step {self.step}")
-        return k
-
 
 def _cost_expr(c, config: NetworkConfig, out=None):
     """Wastage cost on the shared factors ``c`` of a ``_Cells``, written into ``out`` if given."""
@@ -124,9 +117,9 @@ class PayoffSurfaces:
     Arrays are indexed ``[i, j]`` with ``i`` the tau_d grid index and ``j``
     the tau_w grid index, and are read-only once built. The payoff grids,
     ``payoff_dsrc = -age_rescaled - cost`` and ``payoff_wifi = throughput -
-    cost``, are computed on first use and kept, read-only; the equilibrium
-    solvers keep each player's best-response mask here too, once per
-    ``eps_tie``.
+    cost``, and each player's best-response mask, which the equilibrium
+    solvers read, are computed on first use and kept, read-only. A mask that
+    raises does not stop the other player's from being used.
     """
 
     config: NetworkConfig
@@ -135,7 +128,6 @@ class PayoffSurfaces:
     throughput: np.ndarray = field(repr=False)
     cost: np.ndarray = field(repr=False)
     age_rescaled: np.ndarray = field(repr=False)
-    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def payoff_dsrc(self) -> np.ndarray:
@@ -144,6 +136,32 @@ class PayoffSurfaces:
     @cached_property
     def payoff_wifi(self) -> np.ndarray:
         return _read_only(self.throughput - self.cost)
+
+    @cached_property
+    def _br_dsrc(self) -> np.ndarray:
+        """True at each DSRC best response: the maxima of each tau_w column of ``payoff_dsrc``."""
+        return _read_only(_best_responses(self.payoff_dsrc, 0))
+
+    @cached_property
+    def _br_wifi(self) -> np.ndarray:
+        """True at each WiFi best response: the maxima of each tau_d row of ``payoff_wifi``."""
+        return _read_only(_best_responses(self.payoff_wifi, 1))
+
+
+def _best_responses(u: np.ndarray, axis: int) -> np.ndarray:
+    """True where u equals its maximum along axis; every tied maximum is kept.
+
+    An opponent strategy whose payoffs along axis are not all finite has no
+    best response, and FloatingPointError says how many such strategies there
+    are.
+    """
+    empty = int(np.count_nonzero(~np.isfinite(u).all(axis=axis)))
+    if empty:
+        raise FloatingPointError(
+            f"no best response against {empty} opponent strategies: the payoff surface "
+            "is not finite there, as when (1-tau)^n underflows for large node counts"
+        )
+    return u >= u.max(axis=axis, keepdims=True)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -95,10 +95,6 @@ class SimResult:
         counts = np.array([self.slots_idle, self.slots_success, self.slots_collision], dtype=float)
         return counts / self.slots_measured
 
-    def slot_fraction_se(self) -> np.ndarray:
-        f = self.slot_fractions()
-        return np.sqrt(f * (1.0 - f) / self.slots_measured)
-
 
 def _segment_bounds(warmup: int, horizon: int) -> np.ndarray:
     """Slot bounds of the warm-up (segment 0) and of the batches (segments 1 to b)."""

@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cells import cells_at
+from cells import cells_at, slot_fraction_se
 from csma_game.analysis import (
     _age_slope_parts,
     _cost_slope_parts,
@@ -208,7 +208,7 @@ def test_criterion_06_monte_carlo_validates_analytics():
         p_succ = v._kernels.success
         targets = (p_idle, p_succ, 1.0 - p_idle - p_succ)
         for frac, se, target, label in zip(
-            res.slot_fractions(), res.slot_fraction_se(), targets, ("idle", "success", "collision")
+            res.slot_fractions(), slot_fraction_se(res), targets, ("idle", "success", "collision")
         ):
             gap = abs(frac - target)
             if gap > max(3.0 * se, 1e-12):

@@ -174,9 +174,7 @@ def test_out_of_range_beta_is_config_error(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["nash", "--w-idle", "nan"], "error: cost weights must be finite and non-negative"),
     (["nash", "--w-col", "inf"], "error: cost weights must be finite and non-negative"),
-    (["nash", "--eps-tie", "nan"], "error: eps_tie must be finite and non-negative"),
-    (["stackelberg", "--eps-tie", "nan"], "error: eps_tie must be finite and non-negative"),
-], ids=["w-idle-nan", "w-col-inf", "nash-eps-tie-nan", "stackelberg-eps-tie-nan"])
+], ids=["w-idle-nan", "w-col-inf"])
 def test_non_finite_weight_or_tie_tolerance_is_config_error(argv, message, capsys):
     assert main(argv + ["--nd", "2", "--nw", "2"]) == 1
     captured = capsys.readouterr()
@@ -203,6 +201,30 @@ def test_non_finite_lone_optimum_is_runtime_error(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "dsrc" in err and "n=100000" in err
+
+
+@pytest.mark.parametrize("fixed, message", [
+    (["--tau-w", "1.5"], "tau_w must lie in [0, 1), got 1.5"),
+    (["--tau-w", "nan"], "tau_w must lie in [0, 1), got nan"),
+    (["--tau-d", "-0.3"], "tau_d must lie in [0, 1), got -0.3"),
+    (["--tau-d", "1.0"], "tau_d must lie in [0, 1), got 1.0"),
+], ids=["tau-w-above-one", "tau-w-nan", "tau-d-negative", "tau-d-one"])
+def test_metrics_fixed_strategy_outside_unit_interval_is_config_error(fixed, message, capsys):
+    assert main(["metrics", "--nd", "1", "--nw", "2"] + fixed) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_unallocatable_grid_is_runtime_error(monkeypatch, capsys):
+    def too_large(opt):
+        raise MemoryError("Unable to allocate 6.99 TiB for an array with shape (980001, 980001)")
+
+    monkeypatch.setitem(cli._HANDLERS, "nash", too_large)
+    assert main(["nash", "--grid-step", "0.000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 6.99 TiB for an array with shape (980001, 980001)\n"
 
 
 def test_metrics_without_dsrc_sender_leaves_age_empty(capsys):
@@ -262,10 +284,10 @@ def test_subcommand_help_lists_only_its_flags(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: csma-game nash ")
-    assert "--eps-tie" in out and "--horizon" not in out
+    assert "--rescale" in out and "--horizon" not in out
 
 
-@pytest.mark.parametrize("argv", [["metrics", "--leader", "dsrc"], [], ["bogus"]])
+@pytest.mark.parametrize("argv", [["metrics", "--leader", "dsrc"], [], ["bogus"], ["nash", "--eps-tie", "0"]])
 def test_missing_unknown_or_foreign_arguments_are_config_errors(argv, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -3,10 +3,28 @@
 import numpy as np
 import pytest
 
+from cells import index_of
 from csma_game.analysis import alpha2_root
-from csma_game.equilibrium import _br_mask, _tie_mask, enumerate_nash, single_network_optimum, solve_stackelberg
+from csma_game.equilibrium import enumerate_nash, single_network_optimum, solve_stackelberg
 from csma_game.game import GridSpec, PayoffSurfaces, build_surfaces, rescale_age_per_opponent
 from csma_game.model import DSRC, WIFI, NetworkConfig
+
+
+def tie_mask(u, axis, eps_tie):
+    """Oracle: within eps_tie of the max, relative to the spread; raises for an empty column.
+
+    This is the library's former rule, kept at ``eps_tie = 0``. It finds a
+    column without a best response only through NaN: ``0 * inf`` in the
+    spread term, and ``inf - inf``.
+    """
+    with np.errstate(invalid="ignore"):
+        top = u.max(axis=axis, keepdims=True)
+        spread = top - u.min(axis=axis, keepdims=True)
+        mask = u >= top - eps_tie * spread
+    empty = int(np.count_nonzero(~mask.any(axis=axis)))
+    if empty:
+        raise FloatingPointError(f"no best response against {empty} opponent strategies")
+    return mask
 
 
 def free_game(n_dsrc, n_wifi, **kw):
@@ -29,10 +47,14 @@ def flat_dsrc_surfaces():
     )
 
 
+def br_mask(responder, surf):
+    return surf._br_dsrc if responder == DSRC else surf._br_wifi
+
+
 def replies(responder, surf, opponent_tau):
     """The responder's tied best replies to one opponent grid value, read from its mask."""
-    mask = _br_mask(responder, surf, 0.0)
-    o = surf.grid.index_of(opponent_tau)
+    mask = br_mask(responder, surf)
+    o = index_of(surf.grid, opponent_tau)
     return tuple(surf.grid.points()[mask[:, o] if responder == DSRC else mask[o]].tolist())
 
 
@@ -54,12 +76,6 @@ class TestBestResponse:
     def test_unknown_opponent_value_rejected(self):
         with pytest.raises(ValueError):
             replies(DSRC, free_game(1, 1), 0.015)
-
-    def test_bad_inputs(self):
-        surf = free_game(1, 1)
-        for eps_tie in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                _br_mask(DSRC, surf, eps_tie)
 
 
 REFERENCE_FREE_NASH = {
@@ -89,8 +105,8 @@ class TestEnumerateNash:
         results = enumerate_nash(surf)
         assert results
         for res in results:
-            i = surf.grid.index_of(res.pair.tau_d)
-            j = surf.grid.index_of(res.pair.tau_w)
+            i = index_of(surf.grid, res.pair.tau_d)
+            j = index_of(surf.grid, res.pair.tau_w)
             assert u_d[i, j] >= u_d[:, j].max() - 0.0
             assert u_w[i, j] >= u_w[i, :].max() - 0.0
 
@@ -114,7 +130,7 @@ class TestEnumerateNash:
     def test_free_game_best_replies_invariant_to_affine_maps(self):
         cfg = NetworkConfig(2, 5, 0.001)
         maps = (lambda age, thr: 2.0 * age + 7.0, lambda age, thr: 0.5 * age + 3.0)
-        masks = [_br_mask(DSRC, build_surfaces(cfg, rescale=m), 0.0) for m in maps]
+        masks = [build_surfaces(cfg, rescale=m)._br_dsrc for m in maps]
         assert np.array_equal(masks[0], masks[1])
 
 
@@ -208,25 +224,24 @@ class TestSharedSolverInputs:
             with pytest.raises(ValueError):
                 u[0, 0] = 0.0
 
-    @pytest.mark.parametrize("order", [(0.0, 0.1), (0.1, 0.0)])
+    @pytest.mark.parametrize("order", [(DSRC, WIFI), (WIFI, DSRC)])
     def test_cached_masks_equal_fresh_tie_masks(self, order):
         surf = costed_game()
         u_d, u_w = -surf.age_rescaled - surf.cost, surf.throughput - surf.cost
-        assert _tie_mask(u_d, 0, 0.1).sum() > _tie_mask(u_d, 0, 0.0).sum()  # eps_tie matters here
-        for eps in order:
-            br_d, br_w = _br_mask(DSRC, surf, eps), _br_mask(WIFI, surf, eps)
-            assert np.array_equal(br_d, _tie_mask(u_d, 0, eps))
-            assert np.array_equal(br_w, _tie_mask(u_w, 1, eps))
-            assert _br_mask(DSRC, surf, eps) is br_d
-            assert _br_mask(WIFI, surf, eps) is br_w
-            for mask in (br_d, br_w):
-                with pytest.raises(ValueError):
-                    mask[0, 0] = not mask[0, 0]
-            # the solvers on the shared surfaces answer as on freshly built ones
-            fresh = costed_game()
-            assert enumerate_nash(surf, eps) == enumerate_nash(fresh, eps)
-            for leader in (DSRC, WIFI):
-                assert solve_stackelberg(leader, surf, eps) == solve_stackelberg(leader, fresh, eps)
+        first = br_mask(order[0], surf)  # reading one mask first leaves the other as it would be
+        br_d, br_w = surf._br_dsrc, surf._br_wifi
+        assert first is (br_d if order[0] == DSRC else br_w)
+        assert np.array_equal(br_d, tie_mask(u_d, 0, 0.0))
+        assert np.array_equal(br_w, tie_mask(u_w, 1, 0.0))
+        assert surf._br_dsrc is br_d and surf._br_wifi is br_w
+        for mask in (br_d, br_w):
+            with pytest.raises(ValueError):
+                mask[0, 0] = not mask[0, 0]
+        # the solvers on the shared surfaces answer as on freshly built ones
+        fresh = costed_game()
+        assert enumerate_nash(surf) == enumerate_nash(fresh)
+        for leader in (DSRC, WIFI):
+            assert solve_stackelberg(leader, surf) == solve_stackelberg(leader, fresh)
 
     @pytest.mark.parametrize("nash_first", [True, False])
     def test_each_player_mask_stands_alone(self, nash_first):
@@ -243,6 +258,42 @@ class TestSharedSolverInputs:
             solve_stackelberg(WIFI, surf)
         with pytest.raises(FloatingPointError):
             enumerate_nash(surf)
+
+
+FINE = GridSpec(lo=0.001, hi=0.999, step=0.001)
+COSTED = {"w_idle": 0.001, "w_col": 1.001}
+
+
+def any_game(n_dsrc, n_wifi, costed=False, grid=None):
+    """A free game with the range map, or a costed one with per-opponent maps, at beta 0.001."""
+    cfg = NetworkConfig(n_dsrc, n_wifi, 0.001, **(COSTED if costed else {}))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # (1-tau)^n underflows at large n
+        return build_surfaces(cfg, grid, rescale=rescale_age_per_opponent if costed else None)
+
+
+class TestExactBestResponses:
+    @pytest.mark.parametrize("n_dsrc, n_wifi, costed, grid", [
+        (2, 2, False, None), (5, 5, True, None), (12, 4, False, FINE), (20, 20, True, FINE),
+    ], ids=["2x2", "5x5-costed", "12x4-fine", "20x20-costed-fine"])
+    def test_masks_equal_the_tie_oracle(self, n_dsrc, n_wifi, costed, grid):
+        surf = any_game(n_dsrc, n_wifi, costed, grid)
+        assert np.array_equal(surf._br_dsrc, tie_mask(surf.payoff_dsrc, 0, 0.0))
+        assert np.array_equal(surf._br_wifi, tie_mask(surf.payoff_wifi, 1, 0.0))
+
+    @pytest.mark.parametrize("n_dsrc, n_wifi, costed, empty", [
+        (400, 400, False, 99), (400, 400, True, 82), (400, 1, False, 99),
+        (1, 400, False, 17), (150, 150, False, 85), (300, 2, True, 99),
+    ], ids=["400x400", "400x400-costed", "400x1", "1x400", "150x150", "300x2-costed"])
+    def test_non_finite_columns_raise_with_the_oracles_count(self, n_dsrc, n_wifi, costed, empty):
+        surf = any_game(n_dsrc, n_wifi, costed)
+        u = surf.payoff_dsrc
+        with pytest.raises(FloatingPointError, match=f"no best response against {empty} opponent"):
+            tie_mask(u, 0, 0.0)
+        with pytest.raises(FloatingPointError, match=f"no best response against {empty} opponent strategies: "):
+            surf._br_dsrc
+        if not costed:  # finite column maxima beside -inf cells: a bare ``u >= max`` would answer here
+            assert (np.isfinite(u.max(axis=0)) & ~np.isfinite(u).all(axis=0)).any()
+        assert np.array_equal(surf._br_wifi, tie_mask(surf.payoff_wifi, 1, 0.0))
 
 
 class TestSingleNetworkOptimum:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cells import cells_at
+from cells import cells_at, index_of
 from csma_game import game
 from csma_game.game import GridSpec, _cost_expr, build_surfaces, rescale_age, rescale_age_per_opponent
 from csma_game.metrics import _aoi_expr, _throughput_expr
@@ -25,14 +25,14 @@ class TestGridSpec:
     def test_index_roundtrip(self):
         grid = GridSpec()
         for k, tau in enumerate(grid.points()):
-            assert grid.index_of(float(tau)) == k
+            assert index_of(grid, float(tau)) == k
 
     def test_off_grid_rejected(self):
         grid = GridSpec()
         with pytest.raises(ValueError):
-            grid.index_of(0.015)
+            index_of(grid, 0.015)
         with pytest.raises(ValueError):
-            grid.index_of(0.999)
+            index_of(grid, 0.999)
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ class TestSurfaces:
         surf = build_surfaces(cfg)
         grid = surf.grid
         for tau_d, tau_w in [(0.01, 0.01), (0.46, 0.46), (0.99, 0.2), (0.33, 0.87)]:
-            i, j = grid.index_of(tau_d), grid.index_of(tau_w)
+            i, j = index_of(grid, tau_d), index_of(grid, tau_w)
             pair = StrategyPair(tau_d, tau_w)
             assert surf.age[i, j] == pytest.approx(_aoi_expr(cells_at(pair, cfg)), rel=1e-12)
             assert surf.throughput[i, j] == pytest.approx(_throughput_expr(cells_at(pair, cfg)), rel=1e-12)
@@ -202,16 +202,16 @@ class TestSurfaces:
         cfg = NetworkConfig(2, 2, 0.001, w_idle=0.001, w_col=1.001)
         surf = build_surfaces(cfg)
         for tau_d, tau_w in [(0.05, 0.9), (0.46, 0.46)]:
-            i, j = surf.grid.index_of(tau_d), surf.grid.index_of(tau_w)
+            i, j = index_of(surf.grid, tau_d), index_of(surf.grid, tau_w)
             identity = surf.payoff_dsrc[i, j] + surf.cost[i, j] + surf.age_rescaled[i, j]
             assert identity == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError):
-            surf.grid.index_of(0.015)
+            index_of(surf.grid, 0.015)
 
     def test_wifi_payoff_is_raw_throughput_when_free(self):
         cfg = NetworkConfig(2, 2, 0.001)
         surf = build_surfaces(cfg)
-        i, j = surf.grid.index_of(0.31), surf.grid.index_of(0.44)
+        i, j = index_of(surf.grid, 0.31), index_of(surf.grid, 0.44)
         thr = _throughput_expr(cells_at(StrategyPair(0.31, 0.44), cfg))
         assert surf.payoff_wifi[i, j] == pytest.approx(thr, rel=1e-12)
 
@@ -226,7 +226,7 @@ class TestSurfaces:
         diffs = {}
         for step in (0.01, 0.001):
             surf = build_surfaces(cfg, GridSpec(lo=0.30, hi=0.50, step=step), rescale=keep_raw)
-            j = surf.grid.index_of(0.40)
+            j = index_of(surf.grid, 0.40)
             for u in (surf.payoff_dsrc[:, j], surf.payoff_wifi[:, j]):
                 diffs.setdefault(step, 0.0)
                 diffs[step] = max(diffs[step], float(np.abs(np.diff(u)).max()))

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cells import slot_fraction_se
 from csma_game import simulate
 from csma_game.metrics import aoi_node, inter_update_moments, per_node_throughput
 from csma_game.model import DSRC, WIFI, AccessVector, NetworkConfig, SlotLengths, StrategyPair
@@ -126,7 +127,7 @@ def test_slot_type_frequencies_match_kernels():
     p_idle = v._kernels.idle
     p_succ = v._kernels.success
     targets = (p_idle, p_succ, 1.0 - p_idle - p_succ)
-    for frac, se, target in zip(res.slot_fractions(), res.slot_fraction_se(), targets):
+    for frac, se, target in zip(res.slot_fractions(), slot_fraction_se(res), targets):
         assert abs(frac - target) <= 3.0 * se
 
 
