@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +32,10 @@ from .model import DSRC, WIFI, NetworkConfig, StrategyPair, _Axis, _Cells, _requ
 _REFINE = 1e-5
 
 
-@dataclass(frozen=True)
-class NashResult:
-    """A mutual-best-response grid pair with its raw age/throughput values."""
+class NashResult(NamedTuple):
+    """A mutual-best-response grid pair with its raw age/throughput values.
+
+    A named tuple: it unpacks in field order and equals the plain tuple of its values."""
 
     pair: StrategyPair
     age: float
@@ -71,15 +74,16 @@ def enumerate_nash(surfaces: PayoffSurfaces) -> list[NashResult]:
     strategy without a best response. Both best-response masks are kept on
     the surfaces, where ``solve_stackelberg`` reuses them.
     """
-    both = surfaces._br_dsrc & surfaces._br_wifi
-    i, j = np.nonzero(both)
+    flat = np.flatnonzero(surfaces._br_dsrc)
+    flat = flat[surfaces._br_wifi.take(flat)]  # in increasing order: lexicographic in (i, j)
     pts = surfaces.grid.points()
-    columns = (pts[i], pts[j], surfaces.age[i, j], surfaces.throughput[i, j],
-               surfaces.payoff_dsrc[i, j], surfaces.payoff_wifi[i, j])
-    return [
-        NashResult(StrategyPair(tau_d=td, tau_w=tw), age, thr, u_d, u_w)
-        for td, tw, age, thr, u_d, u_w in zip(*(c.tolist() for c in columns))
-    ]
+    StrategyPair(float(pts.min()), float(pts.max()))  # so every pair of grid points is a valid one
+    i, j = np.divmod(flat, pts.size)
+    # tuple.__new__ builds the records in C and skips StrategyPair's check, which the line above made.
+    pairs = map(tuple.__new__, repeat(StrategyPair), zip(pts[i].tolist(), pts[j].tolist()))
+    values = (surfaces.age, surfaces.throughput, surfaces.payoff_dsrc, surfaces.payoff_wifi)
+    rows = zip(pairs, *(v.take(flat).tolist() for v in values))
+    return list(map(tuple.__new__, repeat(NashResult), rows))
 
 
 def solve_stackelberg(leader: str, surfaces: PayoffSurfaces) -> StackelbergResult:

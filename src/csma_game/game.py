@@ -10,6 +10,7 @@ throughput values stay in raw physical units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -38,11 +39,13 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.lo <= self.hi < 1.0:
             raise ValueError(f"grid bounds must satisfy 0 < lo <= hi < 1, got [{self.lo}, {self.hi}]")
-        if self.step <= 0.0:
-            raise ValueError("grid step must be positive")
+        if not 0.0 < self.step < math.inf:  # also rejects NaN
+            raise ValueError(f"grid step must be positive and finite, got {self.step}")
         ratio = (self.hi - self.lo) / self.step
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("grid span must be an integer number of steps")
+        if self.hi > self.lo and round(ratio) == 0:
+            raise ValueError(f"grid step {self.step} exceeds the span [{self.lo}, {self.hi}]")
 
     @property
     def n_points(self) -> int:
@@ -131,7 +134,9 @@ class PayoffSurfaces:
 
     @cached_property
     def payoff_dsrc(self) -> np.ndarray:
-        return _read_only(-self.age_rescaled - self.cost)
+        u = np.negative(self.age_rescaled)
+        u -= self.cost
+        return _read_only(u)
 
     @cached_property
     def payoff_wifi(self) -> np.ndarray:
@@ -155,13 +160,15 @@ def _best_responses(u: np.ndarray, axis: int) -> np.ndarray:
     best response, and FloatingPointError says how many such strategies there
     are.
     """
-    empty = int(np.count_nonzero(~np.isfinite(u).all(axis=axis)))
+    top = u.max(axis=axis, keepdims=True)
+    # A column is finite when its maximum and minimum are: NaN propagates into both.
+    empty = int(np.count_nonzero(~(np.isfinite(top) & np.isfinite(u.min(axis=axis, keepdims=True)))))
     if empty:
         raise FloatingPointError(
             f"no best response against {empty} opponent strategies: the payoff surface "
             "is not finite there, as when (1-tau)^n underflows for large node counts"
         )
-    return u >= u.max(axis=axis, keepdims=True)
+    return u >= top
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

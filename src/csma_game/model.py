@@ -82,22 +82,22 @@ class NetworkConfig:
         return SlotLengths.from_beta(self.beta)
 
 
-@dataclass(frozen=True)
-class StrategyPair:
+class StrategyPair(NamedTuple("_StrategyPair", [("tau_d", float), ("tau_w", float)])):
     """One access probability per network.
 
-    A component of 0 stands in for a network with no nodes (its
-    contention factor is then 1); the solvers themselves only ever search
-    strictly positive probabilities.
+    A named tuple: it unpacks as ``tau_d, tau_w`` and compares equal to the
+    plain tuple of the same values. A component of 0 stands in for a network
+    with no nodes (its contention factor is then 1); the solvers themselves
+    only ever search strictly positive probabilities.
     """
 
-    tau_d: float
-    tau_w: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tau_d < 1.0 > self.tau_w >= 0.0:
-            name, tau = ("tau_w", self.tau_w) if 0.0 <= self.tau_d < 1.0 else ("tau_d", self.tau_d)
+    def __new__(cls, tau_d: float, tau_w: float) -> "StrategyPair":
+        if not 0.0 <= tau_d < 1.0 > tau_w >= 0.0:
+            name, tau = ("tau_w", tau_w) if 0.0 <= tau_d < 1.0 else ("tau_d", tau_d)
             raise ValueError(f"{name} must lie in [0, 1), got {tau}")
+        return super().__new__(cls, tau_d, tau_w)
 
 
 @dataclass(frozen=True)

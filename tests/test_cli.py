@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,22 @@ def test_metrics_fixed_strategy_outside_unit_interval_is_config_error(fixed, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("step, message", [
+    ("inf", "grid step must be positive and finite, got inf"),
+    ("nan", "grid step must be positive and finite, got nan"),
+    ("1e300", "grid step 1e+300 exceeds the span [0.1, 0.5]"),
+], ids=["inf", "nan", "oversized"])
+def test_non_finite_or_oversized_grid_step_is_config_error(step, message, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["nash", "--grid-lo", "0.1", "--grid-hi", "0.5", "--grid-step", step])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unallocatable_grid_is_runtime_error(monkeypatch, capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from cells import index_of
 from csma_game.analysis import alpha2_root
-from csma_game.equilibrium import enumerate_nash, single_network_optimum, solve_stackelberg
+from csma_game.equilibrium import NashResult, enumerate_nash, single_network_optimum, solve_stackelberg
 from csma_game.game import GridSpec, PayoffSurfaces, build_surfaces, rescale_age_per_opponent
-from csma_game.model import DSRC, WIFI, NetworkConfig
+from csma_game.model import DSRC, WIFI, NetworkConfig, StrategyPair
 
 
 def tie_mask(u, axis, eps_tie):
@@ -279,6 +279,21 @@ class TestExactBestResponses:
         surf = any_game(n_dsrc, n_wifi, costed, grid)
         assert np.array_equal(surf._br_dsrc, tie_mask(surf.payoff_dsrc, 0, 0.0))
         assert np.array_equal(surf._br_wifi, tie_mask(surf.payoff_wifi, 1, 0.0))
+
+    def test_many_equilibria_are_the_oracle_pairs_in_order(self):
+        surf = any_game(20, 20, costed=True, grid=FINE)
+        i, j = np.nonzero(tie_mask(surf.payoff_dsrc, 0, 0.0) & tie_mask(surf.payoff_wifi, 1, 0.0))
+        results = enumerate_nash(surf)
+        assert len(results) == i.size == 13801
+        assert all(type(r) is NashResult and type(r.pair) is StrategyPair for r in results)
+        pts = surf.grid.points()
+        # Compared as bit patterns: the rows carry exactly the grid points and the surface values.
+        pairs = np.array([(r.pair.tau_d, r.pair.tau_w) for r in results])
+        assert np.array_equal(pairs.view(np.uint64), np.stack([pts[i], pts[j]], axis=1).view(np.uint64))
+        values = np.array([(r.age, r.throughput, r.payoff_dsrc, r.payoff_wifi) for r in results])
+        surfaces = (surf.age, surf.throughput, surf.payoff_dsrc, surf.payoff_wifi)
+        gathers = np.stack([v[i, j] for v in surfaces], axis=1)
+        assert np.array_equal(values.view(np.uint64), gathers.view(np.uint64))
 
     @pytest.mark.parametrize("n_dsrc, n_wifi, costed, empty", [
         (400, 400, False, 99), (400, 400, True, 82), (400, 1, False, 99),

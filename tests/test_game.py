@@ -42,6 +42,16 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(lo=0.01, hi=0.99, step=0.013)
 
+    @pytest.mark.parametrize("step, message", [
+        (float("inf"), "grid step must be positive and finite, got inf"),
+        (float("nan"), "grid step must be positive and finite, got nan"),
+        (1e300, "grid step 1e+300 exceeds the span [0.1, 0.5]"),
+    ], ids=["inf", "nan", "oversized"])
+    def test_non_finite_or_oversized_step_rejected(self, step, message):
+        with pytest.raises(ValueError) as exc:
+            GridSpec(lo=0.1, hi=0.5, step=step)
+        assert str(exc.value) == message
+
 
 class TestWastageCost:
     def test_free_spectrum(self):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from csma_game.equilibrium import NashResult, enumerate_nash
+from csma_game.game import build_surfaces
 from csma_game.model import (
     DSRC,
     WIFI,
@@ -189,6 +191,18 @@ class TestDomainTypes:
             StrategyPair(tau_d=0.5, tau_w=-0.1)
         # 0 stands in for an absent network
         assert StrategyPair(tau_d=0.0, tau_w=0.5).tau_d == 0.0
+
+    def test_strategy_pair_and_nash_result_are_immutable_records(self):
+        pair = StrategyPair(tau_d=0.2, tau_w=0.3)
+        result = NashResult(pair, 1.0, 0.5, -0.5, 0.5)
+        for record, name in ((pair, "tau_d"), (pair, "tau_w"), (result, "pair"), (result, "age")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.1)
+        assert pair == (0.2, 0.3) and tuple(result) == (pair, 1.0, 0.5, -0.5, 0.5)
+
+    def test_nash_result_repr(self):
+        first = enumerate_nash(build_surfaces(NetworkConfig(2, 2, 0.001)))[0]
+        assert repr(first).startswith("NashResult(pair=StrategyPair(tau_d=0.46, tau_w=0.46), age=")
 
     @pytest.mark.parametrize("tau_d, tau_w, message", [
         (1.0, 0.5, "tau_d must lie in [0, 1), got 1.0"),
