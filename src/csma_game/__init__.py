@@ -11,7 +11,7 @@ all of it as subcommands.
 
 from types import ModuleType as _Module
 
-from .analysis import QuasiConcavityReport, alpha2_root, tau_prime_upper_bound, verify_quasiconcavity
+from .analysis import QuasiConcavityReport, verify_quasiconcavity
 from .equilibrium import (
     NashResult,
     SingleNetworkOptimum,

@@ -4,20 +4,19 @@ Each player's negated payoff has a closed-form derivative in its own
 strategy that splits into named terms: a curvature term from the busy-slot
 ratio, a dominant term from the update rate (age side only), and the cost
 contributions of collisions and idling. ``verify_quasiconcavity`` scans
-the derivative along one strategy axis and checks the sign pattern implied
-by a unimodal payoff: non-positive then non-negative, with at most one
-sign change. ``tau_prime_upper_bound`` and ``alpha2_root`` locate two
-landmarks of that pattern: where the curvature term's denominator reaches
-one, and where the update-rate term changes sign. All terms combine the
-per-axis contention factors of :mod:`~csma_game.model`; the cost terms of
-both players share one formula.
+the derivative along one strategy axis against many opponent values at
+once and checks the sign pattern of a unimodal payoff: non-positive then
+non-negative, with at most one sign change. A DSRC report also carries two
+landmarks: the opponent-free bound on where the curvature term's
+denominator reaches one, and the update-rate term's root. All terms combine
+the per-axis contention factors of :mod:`~csma_game.model`; the cost terms
+of both players share one formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,12 +33,9 @@ _NEWTON_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QuasiConcavityReport:
-    """Outcome of a derivative sign scan along one player's strategy axis."""
+    """One opponent value's derivative sign scan; the landmarks are None on the WiFi side."""
 
-    player: str
-    config: NetworkConfig
     fixed_opponent: float
-    scan: GridSpec
     sign_change_count: int
     sign_pattern_ok: bool
     tau_prime_bound: float | None
@@ -70,42 +66,24 @@ def _wifi_slope(c: _Cells):
     return d.q * (1.0 + beta) * w.r2 * (c.p_idle + (1.0 + beta) * (w.tau * w.n - 1.0)) / c.mean_length**2
 
 
-def _check_landmark_args(n_d: int, beta: float, q_w) -> None:
-    if n_d < 1:
-        raise ValueError("n_d must be at least 1")
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    if not np.all((0.0 < q_w) & (q_w <= 1.0)):
-        raise ValueError("q_w must lie in (0, 1]")
+def _tau_prime_bound(beta: float, n_d: int) -> float | None:
+    """Opponent-free upper bound on the tau_d at which the curvature term's
+    denominator reaches one; None when no such point exists in (0, 1)."""
+    base = 1.0 + beta - math.sqrt(beta * (1.0 + beta) / 2.0)
+    return None if base >= 1.0 else 1.0 - base ** (1.0 / n_d)
 
 
-def tau_prime_upper_bound(beta: float, n_d: int, q_w: float = 1.0) -> float | None:
-    """Largest tau_d at which the curvature term's denominator reaches one.
-
-    With the default ``q_w = 1`` this is the opponent-free upper bound; a
-    concrete ``q_w < 1`` gives the exact landmark for that opponent. Returns
-    None when no such point exists in (0, 1), which is the common case.
-    """
-    _check_landmark_args(n_d, beta, q_w)
-    base = (1.0 + beta - math.sqrt(beta * (1.0 + beta) / 2.0)) / q_w
-    if base >= 1.0:
-        return None
-    return 1.0 - base ** (1.0 / n_d)
-
-
-def alpha2_root(n_d: int, beta: float, q_w: float = 1.0) -> float:
-    """Zero of the update-rate term: solves 1 - n_d*t = (q_w/(1+beta)) (1-t)^n_d.
+def _alpha2_root(n_d: int, beta: float, q_w: np.ndarray) -> np.ndarray:
+    """Zero of the update-rate term: solves 1 - n_d*t = (q_w/(1+beta)) (1-t)^n_d for each entry of ``q_w``.
 
     With s = q_w/(1+beta) < 1, g(t) = 1 - n_d t - s (1-t)^n_d is decreasing and
     concave on [0, 1/n_d] and g(1/n_d) <= 0, so Newton's method from 1/n_d falls
-    monotonically onto the root. It stops once a step is at most ``_NEWTON_TOL`` (or
-    after ``_NEWTON_STEPS``); an array ``q_w`` gives the root of each entry.
+    monotonically onto the root. Each entry stops once its own step is at most
+    ``_NEWTON_TOL`` (or after ``_NEWTON_STEPS``), as it would alone.
     """
-    q_w = np.asarray(q_w, dtype=float)
-    _check_landmark_args(n_d, beta, q_w)
     s = q_w / (1.0 + beta)
     t = np.full_like(s, 1.0 / n_d)
-    moving = np.ones_like(t, dtype=bool)  # an entry stops as it would on its own
+    moving = np.ones_like(t, dtype=bool)
     for _ in range(_NEWTON_STEPS):
         one = 1.0 - t
         s_r1 = s * one ** (n_d - 1)
@@ -114,7 +92,7 @@ def alpha2_root(n_d: int, beta: float, q_w: float = 1.0) -> float:
         moving &= np.abs(step) > _NEWTON_TOL
         if not moving.any():
             break
-    return float(t) if t.ndim == 0 else t
+    return t
 
 
 def _effective_signs(values: np.ndarray) -> np.ndarray:
@@ -131,47 +109,41 @@ def _effective_signs(values: np.ndarray) -> np.ndarray:
     return signs
 
 
-def verify_quasiconcavity(player: str, config: NetworkConfig, fixed_opponent, scan: GridSpec | None = None):
+def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, scan: GridSpec | None = None):
     """Scan the negated-payoff derivative along one axis and check unimodality.
 
     A payoff that rises then falls in the player's own strategy makes the
     scanned derivative non-positive then non-negative, so at most one sign
-    change is allowed and it must run negative to positive. Raises
-    FloatingPointError when the opponent's idle factor (1-tau)^n_w, which
-    locates the update-rate root, underflows to 0.
-
-    ``fixed_opponent`` is one value, which gives one report, or a sequence,
-    which gives a tuple of reports in its order. A sequence is one (values x
-    scan points) array, with each report what its value alone would give;
-    the values are checked in order first, so the first bad one raises.
+    change is allowed and it must run negative to positive. ``opponents`` is
+    a sequence of opponent strategies, scanned as one (values x scan points)
+    array; the reports come back as a tuple in its order. Raises ValueError
+    when the scanned network has no nodes or a value lies outside [0, 1), and
+    FloatingPointError when a DSRC scan's (1-tau)^n_w, which locates the
+    update-rate root, underflows to 0: the first bad value raises its error.
     """
     _require_player(player)
-    values = tuple(fixed_opponent) if np.ndim(fixed_opponent) else (fixed_opponent,)
     dsrc = player == DSRC
     own_n, opp_n = (config.n_dsrc, config.n_wifi) if dsrc else (config.n_wifi, config.n_dsrc)
-    axes, bound = [], None
-    for tau in values:
-        if not 0.0 <= tau < 1.0:
-            raise ValueError("fixed opponent strategy must lie in [0, 1)")
-        axes.append(_Axis(tau, opp_n))
-        if dsrc and axes[-1].q == 0.0:  # checked first: the terms divide by it
-            raise FloatingPointError(
-                f"(1-{tau})^{config.n_wifi} underflows to 0, so the update-rate "
-                "root cannot be located for this opponent strategy"
-            )
-        if dsrc and len(axes) == 1:  # its n_d check follows the first value's, as in a one-value scan
-            bound = tau_prime_upper_bound(config.beta, config.n_dsrc)
+    if own_n < 1:
+        raise ValueError(f"the scanned {player} network has no nodes")
+    values = np.array(tuple(opponents), dtype=float)
+    in_range = (0.0 <= values) & (values < 1.0)  # False for NaN
+    n_ok = values.size if in_range.all() else int(in_range.argmin())
+    opp = _Axis(values[:n_ok, None], opp_n)  # the values before the first one out of range, as a column
+    if dsrc and not opp.q.all():  # checked first: the terms divide by it
+        tau = float(values[opp.q.argmin()])  # the first zero, as no q is negative
+        raise FloatingPointError(f"(1-{tau})^{opp_n} underflows to 0, so the update-rate root "
+                                 "cannot be located for this opponent strategy")
+    if n_ok < values.size:
+        raise ValueError("fixed opponent strategy must lie in [0, 1)")
     scan = scan if scan is not None else GridSpec(lo=0.001, hi=0.999, step=0.001)
     pts = scan.points()
     own = _Axis(pts[(pts >= _EDGE_MARGIN) & (pts <= 1.0 - _EDGE_MARGIN)], own_n)
-    # The opponent values' factors as one column, each entry from its value's own scalar ``_Axis``.
-    column = {k: np.array([getattr(a, k) for a in axes]).reshape(-1, 1) for k in ("tau", "q", "r1")}
-    opp = SimpleNamespace(n=opp_n, **column)
     if dsrc:
         totals = np.add(*_age_slope_parts(_Cells(own, opp, config.beta)))
-        roots = alpha2_root(config.n_dsrc, config.beta, q_w=opp.q[:, 0]).tolist()
+        bound, roots = _tau_prime_bound(config.beta, own_n), _alpha2_root(own_n, config.beta, opp.q[:, 0]).tolist()
     else:
-        totals, roots = _wifi_slope(_Cells(opp, own, config.beta)), [None] * len(values)
+        totals, bound, roots = _wifi_slope(_Cells(opp, own, config.beta)), None, [None] * values.size
     if config.w_col or config.w_idle:  # zero weights add +-0.0, which changes no sign
         a_col, a_idle = _cost_slope_parts(own, opp, config)
         totals = totals + a_col - a_idle
@@ -179,6 +151,5 @@ def verify_quasiconcavity(player: str, config: NetworkConfig, fixed_opponent, sc
     for r in np.flatnonzero(~(np.abs(totals) >= _ZERO_BRIDGE).all(axis=1)):  # near-zero or NaN entries
         signs[r] = _effective_signs(totals[r])
     changes = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1).tolist()
-    reports = tuple(QuasiConcavityReport(player, config, tau, scan, n, n == 0 or (n == 1 and bool(s[0] < 0 < s[-1])),
-                                         bound, root) for tau, n, s, root in zip(values, changes, signs, roots))
-    return reports if np.ndim(fixed_opponent) else reports[0]
+    return tuple(QuasiConcavityReport(tau, n, n == 0 or (n == 1 and bool(s[0] < 0 < s[-1])), bound, root)
+                 for tau, n, s, root in zip(values.tolist(), changes, signs, roots))

@@ -133,6 +133,7 @@ def single_network_optimum(
     NetworkConfig(n_dsrc=n, n_wifi=0, beta=beta)  # rejects beta outside (0, 1)
     absent = _Axis(0.0, 0)
 
+    @np.errstate(divide="ignore", over="ignore")  # (1-tau)^n underflows at large n: +inf, which argmin skips
     def loss(taus):
         own = _Axis(taus, n)
         return _aoi_expr(_Cells(own, absent, beta)) if kind == DSRC else -_throughput_expr(_Cells(absent, own, beta))

@@ -42,7 +42,7 @@ class GridSpec:
         if not 0.0 < self.step < math.inf:  # also rejects NaN
             raise ValueError(f"grid step must be positive and finite, got {self.step}")
         ratio = (self.hi - self.lo) / self.step
-        if abs(ratio - round(ratio)) > 1e-9:
+        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):  # the ratio's rounding grows with it
             raise ValueError("grid span must be an integer number of steps")
         if self.hi > self.lo and round(ratio) == 0:
             raise ValueError(f"grid step {self.step} exceeds the span [{self.lo}, {self.hi}]")

@@ -14,9 +14,9 @@ from cells import cells_at, slot_fraction_se
 from csma_game.analysis import (
     _age_slope_parts,
     _cost_slope_parts,
+    _alpha2_root,
+    _tau_prime_bound,
     _wifi_slope,
-    alpha2_root,
-    tau_prime_upper_bound,
     verify_quasiconcavity,
 )
 from csma_game.equilibrium import enumerate_nash, single_network_optimum, solve_stackelberg
@@ -272,16 +272,17 @@ def test_criterion_07_derivative_terms_match_finite_differences():
     _finish("derivative terms vs finite differences", failures, time.perf_counter() - t0, 5.0)
 
 
+OPPONENT_TENTHS = tuple(tenths / 10.0 for tenths in range(1, 10))
+
+
 def test_criterion_08_unimodality_sweep():
     t0 = time.perf_counter()
     failures = []
     for nd, nw in product((1, 2, 5), repeat=2):
         for weights in ((0.0, 0.0), (BETA, 1.0 + BETA)):
             cfg = NetworkConfig(nd, nw, BETA, *weights)
-            for tenths in range(1, 10):
-                tau = tenths / 10.0
-                for player in (DSRC, WIFI):
-                    rep = verify_quasiconcavity(player, cfg, tau)
+            for player in (DSRC, WIFI):
+                for tau, rep in zip(OPPONENT_TENTHS, verify_quasiconcavity(player, cfg, OPPONENT_TENTHS)):
                     if rep.sign_change_count > 1 or not rep.sign_pattern_ok:
                         failures.append(
                             f"{player} nd={nd} nw={nw} w={weights} opp={tau}: "
@@ -295,10 +296,10 @@ def test_criterion_09_update_rate_root_exceeds_curvature_bound():
     failures = []
     for beta in (0.001, 0.01, 0.1):
         for n_d in range(1, 11):
-            bound = tau_prime_upper_bound(beta, n_d)
+            bound = _tau_prime_bound(beta, n_d)
             if bound is None:
                 continue
-            root = alpha2_root(n_d, beta, q_w=1.0)
+            root = float(_alpha2_root(n_d, beta, np.ones(1))[0])
             if not root > bound:
                 failures.append(f"beta={beta} n_d={n_d}: root {root:.6f} <= bound {bound:.6f}")
     _finish("root exceeds curvature bound", failures, time.perf_counter() - t0, 1.0)

@@ -8,6 +8,7 @@ sign scan that the library used before its Newton root and its
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ from csma_game import analysis
 from csma_game.analysis import (
     QuasiConcavityReport,
     _age_slope_parts,
+    _alpha2_root,
     _cost_slope_parts,
     _effective_signs,
+    _tau_prime_bound,
     _wifi_slope,
-    alpha2_root,
-    tau_prime_upper_bound,
     verify_quasiconcavity,
 )
 from csma_game.game import GridSpec, _cost_expr
@@ -174,40 +175,32 @@ class TestTauPrimeUpperBound:
     def test_hand_value(self):
         base = 1.001 - math.sqrt(0.001 * 1.001 / 2.0)
         expected = 1.0 - base ** 0.5
-        got = tau_prime_upper_bound(0.001, 2)
+        got = _tau_prime_bound(0.001, 2)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.01074, abs=1e-5)
 
     def test_increasing_in_beta(self):
-        values = [tau_prime_upper_bound(b, 2) for b in (0.001, 0.01, 0.1)]
+        values = [_tau_prime_bound(b, 2) for b in (0.001, 0.01, 0.1)]
         assert values[0] < values[1] < values[2]
 
-    def test_absent_when_denominator_never_reaches_one(self):
-        # with a small enough opponent factor the landmark leaves (0, 1)
-        assert tau_prime_upper_bound(0.001, 2, q_w=0.5) is None
-        assert tau_prime_upper_bound(0.001, 2, q_w=0.99) is not None
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tau_prime_upper_bound(1.5, 2)
-        with pytest.raises(ValueError):
-            tau_prime_upper_bound(0.001, 0)
-        with pytest.raises(ValueError):
-            tau_prime_upper_bound(0.001, 2, q_w=0.0)
+def root_at(n_d, beta, q_w=1.0):
+    """The library's update-rate root for one opponent idle factor."""
+    return float(_alpha2_root(n_d, beta, np.array([q_w]))[0])
 
 
 class TestAlpha2Root:
     def test_two_node_quadratic_oracle(self):
         # 1 - 2t = (1/1.001)(1-t)^2  <=>  t^2 + 0.002 t - 0.001 = 0
         oracle = (-0.002 + math.sqrt(0.002**2 + 0.004)) / 2.0
-        root = alpha2_root(2, 0.001, q_w=1.0)
+        root = root_at(2, 0.001)
         assert root == pytest.approx(oracle, abs=1e-9)
         assert root == pytest.approx(0.030639, abs=1e-6)
 
     def test_term_vanishes_at_root(self):
         for n_d in (2, 3, 5):
             cfg = NetworkConfig(n_d, 1, 0.001)
-            root = alpha2_root(n_d, 0.001, q_w=1.0)
+            root = root_at(n_d, 0.001)
             _, alpha2, _, _ = age_terms(StrategyPair(root, 0.0), cfg)
             assert abs(alpha2) <= 1e-9
 
@@ -217,24 +210,19 @@ class TestAlpha2Root:
             n_d = int(rng.integers(1, 11))
             beta = float(rng.uniform(0.001, 0.5))
             q_w = float(rng.uniform(0.05, 1.0))
-            assert 0.0 < alpha2_root(n_d, beta, q_w=q_w) <= 1.0 / n_d
+            assert 0.0 < root_at(n_d, beta, q_w) <= 1.0 / n_d
 
     def test_smallest_root_at_full_idle_factor(self):
-        roots = [alpha2_root(3, 0.001, q_w=q) for q in (0.2, 0.5, 0.8, 1.0)]
+        roots = [root_at(3, 0.001, q) for q in (0.2, 0.5, 0.8, 1.0)]
         assert roots == sorted(roots, reverse=True)
 
     def test_single_node_root_degenerates_to_one(self):
-        assert alpha2_root(1, 0.001, q_w=1.0) == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_non_positive_idle_factor(self):
-        for q_w in (0.0, -0.5):
-            with pytest.raises(ValueError, match="q_w"):
-                alpha2_root(2, 0.001, q_w=q_w)
+        assert root_at(1, 0.001) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestVerifyQuasiconcavity:
     def test_two_by_two_free_game(self):
-        report = verify_quasiconcavity(DSRC, NetworkConfig(2, 2, 0.001), 0.2)
+        (report,) = verify_quasiconcavity(DSRC, NetworkConfig(2, 2, 0.001), [0.2])
         assert report.sign_change_count <= 1
         assert report.sign_pattern_ok
         assert report.tau_prime_bound == pytest.approx(0.01074, abs=1e-5)
@@ -242,7 +230,7 @@ class TestVerifyQuasiconcavity:
 
     def test_lone_dsrc_node_age_is_monotone(self):
         cfg = NetworkConfig(1, 2, 0.001)
-        report = verify_quasiconcavity(DSRC, cfg, 0.2)
+        (report,) = verify_quasiconcavity(DSRC, cfg, [0.2])
         assert report.sign_change_count == 0
         assert report.sign_pattern_ok
         for tau_d in (0.05, 0.3, 0.7, 0.95):
@@ -255,26 +243,26 @@ class TestVerifyQuasiconcavity:
                 assert age_total(StrategyPair(float(tau_d), 0.3), cfg) > 0.0
 
     def test_wifi_side_report(self):
-        report = verify_quasiconcavity(WIFI, NetworkConfig(2, 5, 0.001, 0.001, 1.001), 0.4)
+        (report,) = verify_quasiconcavity(WIFI, NetworkConfig(2, 5, 0.001, 0.001, 1.001), [0.4])
         assert report.sign_change_count <= 1
         assert report.sign_pattern_ok
         assert report.tau_prime_bound is None and report.alpha2_root is None
 
     def test_custom_scan_and_validation(self):
-        report = verify_quasiconcavity(DSRC, NetworkConfig(2, 2, 0.001), 0.2, scan=GridSpec(0.01, 0.99, 0.01))
+        (report,) = verify_quasiconcavity(DSRC, NetworkConfig(2, 2, 0.001), [0.2], scan=GridSpec(0.01, 0.99, 0.01))
         assert report.sign_pattern_ok
         with pytest.raises(ValueError):
-            verify_quasiconcavity("lte", NetworkConfig(1, 1, 0.001), 0.2)
+            verify_quasiconcavity("lte", NetworkConfig(1, 1, 0.001), [0.2])
         with pytest.raises(ValueError):
-            verify_quasiconcavity(DSRC, NetworkConfig(1, 1, 0.001), 1.0)
+            verify_quasiconcavity(DSRC, NetworkConfig(1, 1, 0.001), [1.0])
 
 
 def test_root_exceeds_bound_wherever_bound_exists():
     for beta in (0.001, 0.01, 0.1):
         for n_d in range(1, 11):
-            bound = tau_prime_upper_bound(beta, n_d)
+            bound = _tau_prime_bound(beta, n_d)
             if bound is not None:
-                assert alpha2_root(n_d, beta, q_w=1.0) > bound
+                assert root_at(n_d, beta) > bound
 
 
 def bisection_alpha2_root(n_d, beta, q_w=1.0, tol=1e-12):
@@ -319,7 +307,7 @@ def one_value_scan(player, config, fixed_opponent, scan=None):
     if player == WIFI:
         return changes, bool(ok), None, None
     root = bisection_alpha2_root(config.n_dsrc, beta, q_w=float(w.q))
-    return changes, bool(ok), tau_prime_upper_bound(beta, config.n_dsrc), root
+    return changes, bool(ok), _tau_prime_bound(beta, config.n_dsrc), root
 
 
 @settings(max_examples=300, deadline=None)
@@ -329,16 +317,14 @@ def one_value_scan(player, config, fixed_opponent, scan=None):
     st.floats(1e-300, 1.0),
 )
 def test_newton_root_matches_bisection(n_d, beta, q_w):
-    assert abs(alpha2_root(n_d, beta, q_w=q_w) - bisection_alpha2_root(n_d, beta, q_w=q_w)) <= 1e-12
+    assert abs(root_at(n_d, beta, q_w) - bisection_alpha2_root(n_d, beta, q_w=q_w)) <= 1e-12
 
 
 def test_newton_root_over_an_array_is_the_root_of_each_entry():
     q_w = np.array([1e-300, 0.2, 0.5, 1.0])
-    roots = alpha2_root(7, 0.01, q_w=q_w)
+    roots = _alpha2_root(7, 0.01, q_w)
     assert roots.shape == q_w.shape
-    assert roots.tolist() == [alpha2_root(7, 0.01, q_w=float(q)) for q in q_w]
-    with pytest.raises(ValueError, match="q_w"):
-        alpha2_root(7, 0.01, q_w=np.array([0.5, 0.0]))
+    assert roots.tolist() == [root_at(7, 0.01, float(q)) for q in q_w]
 
 
 def assert_matches_oracle(reports, player, config, opponents, scan=None):
@@ -382,12 +368,15 @@ def test_near_zero_rows_are_bridged_as_the_oracle_does(monkeypatch):
     assert_matches_oracle(reports, WIFI, cfg, CATALOG_OPPONENTS)
 
 
-def test_one_value_gives_one_report():
+def test_opponents_are_a_sequence():
     cfg = NetworkConfig(2, 2, 0.001)
-    report = verify_quasiconcavity(DSRC, cfg, 0.2)
-    assert isinstance(report, QuasiConcavityReport)
-    assert report == verify_quasiconcavity(DSRC, cfg, [0.2])[0]
+    with pytest.raises(TypeError):
+        verify_quasiconcavity(DSRC, cfg, 0.2)
     assert verify_quasiconcavity(DSRC, cfg, []) == ()
+    (report,) = verify_quasiconcavity(DSRC, cfg, (t for t in [0.2]))
+    assert isinstance(report, QuasiConcavityReport)
+    assert report == verify_quasiconcavity(DSRC, cfg, np.array([0.3, 0.2]))[1]
+    assert type(report.fixed_opponent) is float
 
 
 def test_sequence_raises_the_first_bad_values_error():
@@ -396,3 +385,34 @@ def test_sequence_raises_the_first_bad_values_error():
         verify_quasiconcavity(DSRC, cfg, [0.5, 0.9, 1.0])
     with pytest.raises(ValueError, match="fixed opponent"):
         verify_quasiconcavity(DSRC, cfg, [0.5, 1.0, 0.9])
+
+
+@pytest.mark.parametrize("player, config", [
+    (DSRC, NetworkConfig(0, 2, 0.001)),
+    (WIFI, NetworkConfig(2, 0, 0.001)),
+], ids=["dsrc", "wifi"])
+def test_scanned_network_needs_a_node(player, config):
+    for opponents in ([0.2], [], [1.0]):
+        with pytest.raises(ValueError, match=f"the scanned {player} network has no nodes"):
+            verify_quasiconcavity(player, config, opponents)
+
+
+def test_lone_network_against_an_absent_opponent():
+    for player, config in ((DSRC, NetworkConfig(2, 0, 0.001)), (WIFI, NetworkConfig(0, 2, 0.001))):
+        reports = verify_quasiconcavity(player, config, CATALOG_OPPONENTS)
+        assert_matches_oracle(reports, player, config, CATALOG_OPPONENTS)
+        # the absent opponent leaves every scan, and every landmark, the same
+        assert len(set(r[1:] for r in map(astuple, reports))) == 1
+
+
+def test_sequence_checks_each_value_in_order():
+    cfg = NetworkConfig(2, 400, 0.001)
+    with pytest.raises(ValueError, match="fixed opponent"):
+        verify_quasiconcavity(DSRC, cfg, [0.5, float("nan"), 0.9])
+    with pytest.raises(ValueError, match="fixed opponent"):
+        verify_quasiconcavity(DSRC, cfg, [-0.1])
+    with pytest.raises(FloatingPointError) as exc:
+        verify_quasiconcavity(DSRC, cfg, [0.95, 0.9])
+    assert str(exc.value).startswith("(1-0.95)^400 underflows to 0")
+    # the WiFi scan needs no update-rate root, so an underflowing DSRC factor is no error
+    assert len(verify_quasiconcavity(WIFI, NetworkConfig(400, 2, 0.001), [0.9])) == 1

@@ -404,3 +404,36 @@ def test_costed_catalog_verify_prints_no_warning():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("nd, nw, player", [("2", "0", "wifi"), ("0", "2", "dsrc")], ids=["wifi", "dsrc"])
+def test_verify_rejects_a_scanned_network_without_nodes(nd, nw, player, capsys):
+    assert main(["verify", "--nd", nd, "--nw", nw, "--player", player]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the scanned {player} network has no nodes\n"
+
+
+def test_verify_scans_a_lone_network_against_an_absent_opponent(capsys):
+    code, out = run_cli(["verify", "--nd", "2", "--nw", "0", "--player", "dsrc"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 9
+    assert {(r["sign_changes"], r["pattern_ok"], r["alpha2_root"]) for r in rows} == {("1", "true", "0.0306386")}
+
+
+@pytest.mark.parametrize("n, code, out", [
+    ("2000", 0, "kind,n,tau_star,value\ndsrc,2000,0.01,5.31716e+10\n"),
+    ("100000", 2, ""),
+], ids=["finite", "overflowing"])
+def test_large_lone_network_optimum_prints_no_warning(n, code, out):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["optimum", "--kind", "dsrc", "--n", n]
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "csma_game.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    if code == 0:
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cells import index_of
-from csma_game.analysis import alpha2_root
+from csma_game.analysis import _alpha2_root
 from csma_game.equilibrium import NashResult, enumerate_nash, single_network_optimum, solve_stackelberg
 from csma_game.game import GridSpec, PayoffSurfaces, build_surfaces, rescale_age_per_opponent
 from csma_game.model import DSRC, WIFI, NetworkConfig, StrategyPair
@@ -327,11 +327,17 @@ class TestSingleNetworkOptimum:
 
     def test_interior_optimum_matches_first_order_root(self):
         res = single_network_optimum(WIFI, 2, 0.001)
-        assert abs(res.tau_star - alpha2_root(2, 0.001, q_w=1.0)) <= 1e-4
+        assert abs(res.tau_star - _alpha2_root(2, 0.001, np.ones(1))[0]) <= 1e-4
 
     def test_boundary_clamp(self):
         res = single_network_optimum(WIFI, 10, 0.001)
         assert res.tau_star == pytest.approx(0.01, abs=1e-9)
+
+    def test_large_network_overflows_away_from_the_optimum_silently(self):
+        # (1-tau)^2000 underflows at the top of the grid, where the age is +inf; the optimum is finite
+        res = single_network_optimum(DSRC, 2000, 0.001)
+        assert res.tau_star == pytest.approx(0.01, abs=1e-12)
+        assert res.value == pytest.approx(5.3171642508e10, rel=1e-10)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -42,6 +42,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(lo=0.01, hi=0.99, step=0.013)
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_fine_grids_are_whole_steps(self, k):
+        # (hi - lo) / step near 1e7 carries more rounding than an absolute 1e-9; the grid is only constructed
+        step = 10.0**-k
+        assert GridSpec(lo=step, hi=1.0 - step, step=step).n_points == 10**k - 1
+        with pytest.raises(ValueError, match="integer number of steps"):
+            GridSpec(lo=0.1, hi=0.5, step=0.3)
+
     @pytest.mark.parametrize("step, message", [
         (float("inf"), "grid step must be positive and finite, got inf"),
         (float("nan"), "grid step must be positive and finite, got nan"),

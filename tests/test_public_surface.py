@@ -1,4 +1,4 @@
-"""The package's public surface: 29 names, each exported once, and no scalar wrappers."""
+"""The package's public surface: 27 names, each exported once, and no scalar wrappers."""
 
 import inspect
 from dataclasses import fields
@@ -19,6 +19,9 @@ REMOVED = {
         "wifi_payoff_derivative_terms",
         "AgeDerivativeTerms",
         "ThrDerivativeTerms",
+        # The derivative scan's two landmarks, which every DSRC report carries.
+        "alpha2_root",
+        "tau_prime_upper_bound",
     ),
 }
 REMOVED_ATTRIBUTES = {
@@ -29,20 +32,22 @@ REMOVED_ATTRIBUTES = {
     game.GridSpec: ("index_of",),
     simulate.SimResult: ("slot_fraction_se",),
 }
+# The scan's report holds its results only, not its inputs echoed back.
+REPORT_FIELDS = ("fixed_opponent", "sign_change_count", "sign_pattern_ok", "tau_prime_bound", "alpha2_root")
 # Tolerances that no caller set: a best response is an exact maximum, and the
 # Newton and refinement tolerances are module constants.
 RETIRED_PARAMETERS = {
     equilibrium.enumerate_nash: "eps_tie",
     equilibrium.solve_stackelberg: "eps_tie",
-    analysis.alpha2_root: "tol",
+    analysis._alpha2_root: "tol",
     equilibrium.single_network_optimum: "refine",
 }
 
 
-def test_public_surface_is_29_names_without_the_scalar_wrappers():
+def test_public_surface_is_27_names_without_the_scalar_wrappers():
     names = csma_game.__all__
-    assert len(names) == 29
-    assert len(set(names)) == 29
+    assert len(names) == 27
+    assert len(set(names)) == 27
     for name in names:
         assert getattr(csma_game, name) is not None
     namespace = {}
@@ -56,6 +61,7 @@ def test_public_surface_is_29_names_without_the_scalar_wrappers():
     for cls, removed in REMOVED_ATTRIBUTES.items():
         for name in removed:
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    assert tuple(f.name for f in fields(analysis.QuasiConcavityReport)) == REPORT_FIELDS
 
 
 def test_retired_tolerances_and_mask_cache_are_gone():
