@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -91,18 +92,18 @@ _COMMAND_FLAGS = {
 }
 
 
-def _parse(argv) -> argparse.Namespace:
-    """Parse with one parser: the subcommand, and the flags of ``argv[0]`` if it names one.
+@lru_cache(maxsize=None)
+def _parser(command: str | None) -> _Parser:
+    """One parser of the subcommand and, if ``command`` names one, of its flags; built once per process.
 
     With a subcommand, help reads as that subcommand's own, with its name in the usage line.
     """
-    command = argv[0] if argv and argv[0] in _COMMAND_FLAGS else None
     parser = _Parser(prog="csma-game" if command is None else f"csma-game {command}",
                      description=__doc__ if command is None else None)
     parser.add_argument("command", choices=_COMMAND_FLAGS, help=argparse.SUPPRESS if command else None)
     for flag in _COMMAND_FLAGS.get(command, ()):
         parser.add_argument("--" + flag.replace("_", "-"), dest=flag)
-    return parser.parse_args(argv)
+    return parser
 
 
 def _as_number(field, raw, kind):
@@ -376,8 +377,9 @@ def _render(header: list[str], rows: list[tuple], fmt: str) -> str:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        args = _parser(argv[0] if argv and argv[0] in _COMMAND_FLAGS else None).parse_args(argv)
         opt = _Options(args)
         fmt = opt.choice("format", ("csv", "json"))
         out = opt.raw("out")

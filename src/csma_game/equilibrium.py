@@ -10,9 +10,9 @@ A best response is an exact maximum of the responder's payoff against one
 opponent strategy, and all tied maxima are kept (a constant column yields
 the whole grid). The reference equilibria, including the costed game's
 multiple equilibria, are all exact mutual maxima, so no tolerance is needed.
-Both players' masks are read from ``PayoffSurfaces``, which computes each once
-and raises FloatingPointError where a non-finite payoff leaves an opponent
-strategy without a best response.
+Both masks and both leaders' pessimistic values come from one cached sweep of
+``PayoffSurfaces`` over its row blocks; a mask raises FloatingPointError where
+a non-finite payoff leaves an opponent strategy without a best response.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def enumerate_nash(surfaces: PayoffSurfaces) -> list[NashResult]:
     i, j = np.divmod(flat, pts.size)
     # tuple.__new__ builds the records in C and skips StrategyPair's check, which the line above made.
     pairs = map(tuple.__new__, repeat(StrategyPair), zip(pts[i].tolist(), pts[j].tolist()))
-    values = (surfaces.age, surfaces.throughput, surfaces.payoff_dsrc, surfaces.payoff_wifi)
-    rows = zip(pairs, *(v.take(flat).tolist() for v in values))
+    values = (surfaces.age.take(flat), surfaces.throughput.take(flat), *surfaces._payoffs(lambda a: a.take(flat)))
+    rows = zip(pairs, *(v.tolist() for v in values))
     return list(map(tuple.__new__, repeat(NashResult), rows))
 
 
@@ -95,13 +95,13 @@ def solve_stackelberg(leader: str, surfaces: PayoffSurfaces) -> StackelbergResul
     _require_player(leader)
     pts = surfaces.grid.points()
     if leader == DSRC:  # follower picks the tau_w column within each leader row
-        lead_u, fol_mask = surfaces.payoff_dsrc, surfaces._br_wifi
+        fol_mask, pessimistic = surfaces._br_wifi, surfaces._sweep.worst_dsrc
     else:
-        lead_u, fol_mask = surfaces.payoff_wifi.T, surfaces._br_dsrc.T
-    pessimistic = lead_u.min(axis=1, where=fol_mask, initial=np.inf)
+        fol_mask, pessimistic = surfaces._br_dsrc.T, surfaces._sweep.worst_wifi
     li = int(np.argmax(pessimistic))
     replies = np.flatnonzero(fol_mask[li])
-    fj = int(replies[np.argmin(lead_u[li, replies])])
+    u_dsrc, u_wifi = surfaces._payoffs(lambda a: a[li, replies] if leader == DSRC else a[replies, li])
+    fj = int(replies[np.argmin(u_dsrc if leader == DSRC else u_wifi)])
     i, j = (li, fj) if leader == DSRC else (fj, li)
     return StackelbergResult(
         leader=leader,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -118,11 +118,10 @@ class PayoffSurfaces:
     """Age, throughput, cost, and rescaled-age values on the strategy grid.
 
     Arrays are indexed ``[i, j]`` with ``i`` the tau_d grid index and ``j``
-    the tau_w grid index, and are read-only once built. The payoff grids,
-    ``payoff_dsrc = -age_rescaled - cost`` and ``payoff_wifi = throughput -
-    cost``, and each player's best-response mask, which the equilibrium
-    solvers read, are computed on first use and kept, read-only. A mask that
-    raises does not stop the other player's from being used.
+    the tau_w grid index, and are read-only once built. The payoffs
+    ``-age_rescaled - cost`` and ``throughput - cost`` are never held as grids:
+    one sweep over row blocks, run on first use and kept, gives what the
+    solvers read. A mask that raises does not stop the other's from being used.
     """
 
     config: NetworkConfig
@@ -132,48 +131,70 @@ class PayoffSurfaces:
     cost: np.ndarray = field(repr=False)
     age_rescaled: np.ndarray = field(repr=False)
 
-    @cached_property
-    def payoff_dsrc(self) -> np.ndarray:
-        u = np.negative(self.age_rescaled)
-        u -= self.cost
-        return _read_only(u)
+    def _payoffs(self, pick: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Both players' payoffs on the cells ``pick`` takes of each surface."""
+        cost = pick(self.cost)
+        u_dsrc = np.negative(pick(self.age_rescaled))
+        u_dsrc -= cost
+        return u_dsrc, np.subtract(pick(self.throughput), cost)
 
     @cached_property
-    def payoff_wifi(self) -> np.ndarray:
-        return _read_only(self.throughput - self.cost)
+    def _sweep(self) -> _Sweep:
+        """Pass 1 takes the DSRC column extremes, the WiFi mask rows and the DSRC leader's worst payoffs,
+        pass 2 the rest; every value is the one a whole-grid reduction gives."""
+        n_d, n_w = self.age.shape
+        br_dsrc, br_wifi = np.empty((n_d, n_w), bool), np.empty((n_d, n_w), bool)
+        top_d, bot_d = ext_d = np.full((2, n_w), [[-np.inf], [np.inf]])
+        top_w, bot_w = ext_w = np.empty((2, n_d))
+        worst_dsrc, worst_wifi = np.empty(n_d), np.full(n_w, np.inf)
+        blocks = _row_blocks(n_d, n_w)
+        for rows in blocks:
+            u_d, u_w = self._payoffs(lambda a: a[rows])
+            np.maximum(top_d, u_d.max(axis=0), out=top_d)
+            np.minimum(bot_d, u_d.min(axis=0), out=bot_d)
+            u_w.max(axis=1, out=top_w[rows])
+            u_w.min(axis=1, out=bot_w[rows])
+            np.greater_equal(u_w, top_w[rows, None], out=br_wifi[rows])
+            u_d.min(axis=1, where=br_wifi[rows], initial=np.inf, out=worst_dsrc[rows])
+        for rows in reversed(blocks):  # the last block's payoffs are still at hand
+            if rows is not blocks[-1]:
+                u_d, u_w = self._payoffs(lambda a: a[rows])
+            np.greater_equal(u_d, top_d, out=br_dsrc[rows])
+            np.minimum(worst_wifi, u_w.min(axis=0, where=br_dsrc[rows], initial=np.inf), out=worst_wifi)
+        for mask in (br_dsrc, br_wifi):
+            mask.setflags(write=False)
+        return _Sweep(br_dsrc, br_wifi, ext_d, ext_w, worst_dsrc, worst_wifi)
 
-    @cached_property
-    def _br_dsrc(self) -> np.ndarray:
-        """True at each DSRC best response: the maxima of each tau_w column of ``payoff_dsrc``."""
-        return _read_only(_best_responses(self.payoff_dsrc, 0))
-
-    @cached_property
-    def _br_wifi(self) -> np.ndarray:
-        """True at each WiFi best response: the maxima of each tau_d row of ``payoff_wifi``."""
-        return _read_only(_best_responses(self.payoff_wifi, 1))
+    # Each player's best-response mask, True at the maxima of each opponent strategy's line of its payoff.
+    _br_dsrc = property(lambda self: _best_responses(self._sweep.br_dsrc, self._sweep.extremes_dsrc))
+    _br_wifi = property(lambda self: _best_responses(self._sweep.br_wifi, self._sweep.extremes_wifi))
 
 
-def _best_responses(u: np.ndarray, axis: int) -> np.ndarray:
-    """True where u equals its maximum along axis; every tied maximum is kept.
+class _Sweep(NamedTuple):
+    """Each player's best-response mask (all tied maxima kept) and its payoff's maximum and minimum per
+    opponent strategy; per leader strategy, the leader's least payoff over the follower's best responses."""
 
-    An opponent strategy whose payoffs along axis are not all finite has no
-    best response, and FloatingPointError says how many such strategies there
-    are.
-    """
-    top = u.max(axis=axis, keepdims=True)
-    # A column is finite when its maximum and minimum are: NaN propagates into both.
-    empty = int(np.count_nonzero(~(np.isfinite(top) & np.isfinite(u.min(axis=axis, keepdims=True)))))
+    br_dsrc: np.ndarray
+    br_wifi: np.ndarray
+    extremes_dsrc: np.ndarray  # (2, tau_w points); a NaN payoff propagates into both
+    extremes_wifi: np.ndarray  # (2, tau_d points)
+    worst_dsrc: np.ndarray
+    worst_wifi: np.ndarray
+
+
+def _best_responses(mask: np.ndarray, extremes: np.ndarray) -> np.ndarray:
+    """The mask, unless an opponent strategy has no best response: its payoffs' maximum or minimum is not finite."""
+    empty = int(np.count_nonzero(~np.isfinite(extremes).all(axis=0)))
     if empty:
-        raise FloatingPointError(
-            f"no best response against {empty} opponent strategies: the payoff surface "
-            "is not finite there, as when (1-tau)^n underflows for large node counts"
-        )
-    return u >= top
+        raise FloatingPointError(f"no best response against {empty} opponent strategies: the payoff surface "
+                                 "is not finite there, as when (1-tau)^n underflows for large node counts")
+    return mask
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Blocks of at least one row and at most ``_BLOCK_CELLS`` cells that cover the rows in order."""
+    step = max(1, _BLOCK_CELLS // n_cols)
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
 def build_surfaces(
@@ -197,9 +218,7 @@ def build_surfaces(
     # Factors on a column (tau_d) and a row (tau_w); the surfaces are their outer products.
     w = _Axis(pts[None, :], config.n_wifi)
     age, throughput, cost = (np.empty((pts.size, pts.size)) for _ in range(3))
-    step = max(1, _BLOCK_CELLS // pts.size)
-    for lo in range(0, pts.size, step):
-        rows = slice(lo, lo + step)
+    for rows in _row_blocks(pts.size, pts.size):
         cells = _Cells(_Axis(pts[rows, None], config.n_dsrc), w, config.beta)
         _aoi_expr(cells, out=age[rows])
         _throughput_expr(cells, out=throughput[rows])

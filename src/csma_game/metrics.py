@@ -45,14 +45,19 @@ def _node_kernels(v: AccessVector, i: int):
 def _moments(v: AccessVector, s: SlotLengths, i: int) -> tuple[float, float]:
     """E[Z] and E[Z^2] for node i; see :func:`inter_update_moments`."""
     k, p = _node_kernels(v, i)
-    if p <= 0.0:
+    if p == 0.0 and (v.taus[i] == 0.0 or 1.0 in v.taus[:i] + v.taus[i + 1 :]):  # an exact zero, not an underflow
         raise ValueError("tagged node never updates; inter-update time is infinite")
-    sig_s = s.success
-    p_other = k.success - p
-    g1 = k.idle * s.idle + p_other * s.success + k.collision * s.collision
-    g2 = k.idle * s.idle**2 + p_other * s.success**2 + k.collision * s.collision**2
-    ez = (g1 + p * sig_s) / p
-    ez2 = sig_s**2 + (2.0 * sig_s * g1 + g2) / p + 2.0 * g1**2 / p**2
+    ez = ez2 = np.inf
+    if p * p > 0.0:  # at large n, p or p^2 underflows to 0
+        sig_s = s.success
+        p_other = k.success - p
+        g1 = k.idle * s.idle + p_other * s.success + k.collision * s.collision
+        g2 = k.idle * s.idle**2 + p_other * s.success**2 + k.collision * s.collision**2
+        ez = (g1 + p * sig_s) / p
+        ez2 = sig_s**2 + (2.0 * sig_s * g1 + g2) / p + 2.0 * g1**2 / p**2
+    if not ez2 < np.inf:
+        raise FloatingPointError(f"the inter-update moments of node {i} overflow the double range: "
+                                 f"its per-slot update probability is {p!r}, as when (1-tau)^n underflows")
     return ez, ez2
 
 

@@ -1,4 +1,4 @@
-"""Test-side helpers: one strategy pair's slot factors, grid indices, and slot-fraction errors."""
+"""Test-side helpers: one strategy pair's slot factors, whole payoff grids, grid indices, and slot-fraction errors."""
 
 import numpy as np
 
@@ -8,6 +8,11 @@ from csma_game.model import _Axis, _Cells
 def cells_at(pair, config):
     """The ``_Cells`` of one (tau_d, tau_w) pair: scalar factors of both networks."""
     return _Cells(_Axis(pair.tau_d, config.n_dsrc), _Axis(pair.tau_w, config.n_wifi), config.beta)
+
+
+def payoff_grids(surf):
+    """Both players' payoffs on the whole grid: the oracle of the library's row-block sweep."""
+    return -surf.age_rescaled - surf.cost, surf.throughput - surf.cost
 
 
 def index_of(grid, tau):

@@ -326,9 +326,34 @@ def test_parser_has_only_the_subcommands_flags(monkeypatch, capsys):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "add_argument", counting)
+    cli._parser.cache_clear()  # so that this call builds the nash parser
     assert main(["nash", "--nd", "2", "--nw", "2"]) == 0
     # the nash flags, the subcommand positional and -h/--help
-    assert len(added) <= len(cli._COMMAND_FLAGS["nash"]) + 2
+    assert 0 < len(added) <= len(cli._COMMAND_FLAGS["nash"]) + 2
+
+
+def test_cached_parsers_answer_as_fresh_ones(capsys):
+    argvs = [
+        ["nash", "--nd", "2", "--nw", "2"], ["optimum", "--n", "2"], ["nash", "--help"], ["--help"],
+        ["stackelberg", "--nd", "2", "--horizon", "5"], ["bogus"], ["optimum", "--n", "x"],
+        ["nash", "--nd", "1", "--nw", "2", "--format", "json"], [],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert [run(argv) for argv in argvs] == fresh  # one process, each subcommand's parser built once
+    assert [run(argv) for argv in argvs] == fresh
+    assert cli._parser.cache_info().misses == 4  # nash, optimum, stackelberg and the bare parser
 
 
 @pytest.mark.parametrize("argv, first_line", [

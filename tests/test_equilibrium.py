@@ -1,9 +1,13 @@
 """Best responses, Nash enumeration, Stackelberg, and lone-network optima."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cells import index_of
+from cells import index_of, payoff_grids
+from csma_game import game
 from csma_game.analysis import _alpha2_root
 from csma_game.equilibrium import NashResult, enumerate_nash, single_network_optimum, solve_stackelberg
 from csma_game.game import GridSpec, PayoffSurfaces, build_surfaces, rescale_age_per_opponent
@@ -100,8 +104,7 @@ class TestEnumerateNash:
 
     def test_results_survive_one_shot_deviation_scan(self):
         surf = free_game(2, 5)
-        u_d = surf.payoff_dsrc
-        u_w = surf.payoff_wifi
+        u_d, u_w = payoff_grids(surf)
         results = enumerate_nash(surf)
         assert results
         for res in results:
@@ -181,8 +184,7 @@ class TestStackelberg:
 
     def test_leader_beats_nash_when_follower_replies_are_unique(self):
         surf = free_game(2, 2)
-        u_d = surf.payoff_dsrc
-        u_w = surf.payoff_wifi
+        u_d, u_w = payoff_grids(surf)
         unique_w = ((u_w == u_w.max(axis=1, keepdims=True)).sum(axis=1) == 1).all()
         unique_d = ((u_d == u_d.max(axis=0, keepdims=True)).sum(axis=0) == 1).all()
         assert unique_w and unique_d
@@ -195,8 +197,7 @@ class TestStackelberg:
 
     def test_guarantee_dominates_pessimistic_value_of_any_strategy(self):
         surf = free_game(2, 5)
-        u_d = surf.payoff_dsrc
-        u_w = surf.payoff_wifi
+        u_d, u_w = payoff_grids(surf)
         res = solve_stackelberg(DSRC, surf)
         fol_best = u_w.max(axis=1, keepdims=True)
         rng = np.random.default_rng(5)
@@ -215,19 +216,22 @@ def costed_game():
 
 
 class TestSharedSolverInputs:
-    def test_cached_payoffs_equal_fresh_and_are_read_only(self):
+    def test_cached_sweep_equals_whole_grid_reductions(self):
         surf = costed_game()
-        assert surf.payoff_dsrc is surf.payoff_dsrc
-        assert surf.payoff_dsrc.tobytes() == (-surf.age_rescaled - surf.cost).tobytes()
-        assert surf.payoff_wifi.tobytes() == (surf.throughput - surf.cost).tobytes()
-        for u in (surf.payoff_dsrc, surf.payoff_wifi):
-            with pytest.raises(ValueError):
-                u[0, 0] = 0.0
+        assert surf._sweep is surf._sweep
+        u_d, u_w = payoff_grids(surf)
+        # Each leader's worst payoff over the follower's best responses, as one whole-grid reduction.
+        worst_d = u_d.min(axis=1, where=tie_mask(u_w, 1, 0.0), initial=np.inf)
+        worst_w = u_w.min(axis=0, where=tie_mask(u_d, 0, 0.0), initial=np.inf)
+        assert surf._sweep.worst_dsrc.tobytes() == worst_d.tobytes()
+        assert surf._sweep.worst_wifi.tobytes() == worst_w.tobytes()
+        assert solve_stackelberg(DSRC, surf).leader_guaranteed_payoff == worst_d.max()
+        assert solve_stackelberg(WIFI, surf).leader_guaranteed_payoff == worst_w.max()
 
     @pytest.mark.parametrize("order", [(DSRC, WIFI), (WIFI, DSRC)])
     def test_cached_masks_equal_fresh_tie_masks(self, order):
         surf = costed_game()
-        u_d, u_w = -surf.age_rescaled - surf.cost, surf.throughput - surf.cost
+        u_d, u_w = payoff_grids(surf)
         first = br_mask(order[0], surf)  # reading one mask first leaves the other as it would be
         br_d, br_w = surf._br_dsrc, surf._br_wifi
         assert first is (br_d if order[0] == DSRC else br_w)
@@ -271,18 +275,28 @@ def any_game(n_dsrc, n_wifi, costed=False, grid=None):
         return build_surfaces(cfg, grid, rescale=rescale_age_per_opponent if costed else None)
 
 
+# Games whose DSRC payoff is not finite in some tau_w columns, with the number of those columns.
+NON_FINITE_GAMES = [
+    (400, 400, False, 99), (400, 400, True, 82), (400, 1, False, 99),
+    (1, 400, False, 17), (150, 150, False, 85), (300, 2, True, 99),
+]
+NON_FINITE_IDS = ["400x400", "400x400-costed", "400x1", "1x400", "150x150", "300x2-costed"]
+
+
 class TestExactBestResponses:
     @pytest.mark.parametrize("n_dsrc, n_wifi, costed, grid", [
         (2, 2, False, None), (5, 5, True, None), (12, 4, False, FINE), (20, 20, True, FINE),
     ], ids=["2x2", "5x5-costed", "12x4-fine", "20x20-costed-fine"])
     def test_masks_equal_the_tie_oracle(self, n_dsrc, n_wifi, costed, grid):
         surf = any_game(n_dsrc, n_wifi, costed, grid)
-        assert np.array_equal(surf._br_dsrc, tie_mask(surf.payoff_dsrc, 0, 0.0))
-        assert np.array_equal(surf._br_wifi, tie_mask(surf.payoff_wifi, 1, 0.0))
+        u_d, u_w = payoff_grids(surf)
+        assert np.array_equal(surf._br_dsrc, tie_mask(u_d, 0, 0.0))
+        assert np.array_equal(surf._br_wifi, tie_mask(u_w, 1, 0.0))
 
     def test_many_equilibria_are_the_oracle_pairs_in_order(self):
         surf = any_game(20, 20, costed=True, grid=FINE)
-        i, j = np.nonzero(tie_mask(surf.payoff_dsrc, 0, 0.0) & tie_mask(surf.payoff_wifi, 1, 0.0))
+        u_d, u_w = payoff_grids(surf)
+        i, j = np.nonzero(tie_mask(u_d, 0, 0.0) & tie_mask(u_w, 1, 0.0))
         results = enumerate_nash(surf)
         assert len(results) == i.size == 13801
         assert all(type(r) is NashResult and type(r.pair) is StrategyPair for r in results)
@@ -291,24 +305,71 @@ class TestExactBestResponses:
         pairs = np.array([(r.pair.tau_d, r.pair.tau_w) for r in results])
         assert np.array_equal(pairs.view(np.uint64), np.stack([pts[i], pts[j]], axis=1).view(np.uint64))
         values = np.array([(r.age, r.throughput, r.payoff_dsrc, r.payoff_wifi) for r in results])
-        surfaces = (surf.age, surf.throughput, surf.payoff_dsrc, surf.payoff_wifi)
+        surfaces = (surf.age, surf.throughput, u_d, u_w)
         gathers = np.stack([v[i, j] for v in surfaces], axis=1)
         assert np.array_equal(values.view(np.uint64), gathers.view(np.uint64))
 
-    @pytest.mark.parametrize("n_dsrc, n_wifi, costed, empty", [
-        (400, 400, False, 99), (400, 400, True, 82), (400, 1, False, 99),
-        (1, 400, False, 17), (150, 150, False, 85), (300, 2, True, 99),
-    ], ids=["400x400", "400x400-costed", "400x1", "1x400", "150x150", "300x2-costed"])
+    @pytest.mark.parametrize("n_dsrc, n_wifi, costed, empty", NON_FINITE_GAMES, ids=NON_FINITE_IDS)
     def test_non_finite_columns_raise_with_the_oracles_count(self, n_dsrc, n_wifi, costed, empty):
         surf = any_game(n_dsrc, n_wifi, costed)
-        u = surf.payoff_dsrc
+        u, u_w = payoff_grids(surf)
         with pytest.raises(FloatingPointError, match=f"no best response against {empty} opponent"):
             tie_mask(u, 0, 0.0)
         with pytest.raises(FloatingPointError, match=f"no best response against {empty} opponent strategies: "):
             surf._br_dsrc
         if not costed:  # finite column maxima beside -inf cells: a bare ``u >= max`` would answer here
             assert (np.isfinite(u.max(axis=0)) & ~np.isfinite(u).all(axis=0)).any()
-        assert np.array_equal(surf._br_wifi, tie_mask(surf.payoff_wifi, 1, 0.0))
+        assert np.array_equal(surf._br_wifi, tie_mask(u_w, 1, 0.0))
+
+
+def stackelberg_row(leader, surf):
+    r = solve_stackelberg(leader, surf)
+    return (*r.pair, r.age, r.throughput, r.leader_guaranteed_payoff)
+
+
+def solver_outputs(surf):
+    """Both masks, the Nash rows and both Stackelberg results as bytes, or the message each raises."""
+    outputs = []
+    for solve in (lambda: surf._br_dsrc, lambda: surf._br_wifi,
+                  lambda: [(*r.pair, *r[1:]) for r in enumerate_nash(surf)],
+                  lambda: stackelberg_row(DSRC, surf), lambda: stackelberg_row(WIFI, surf)):
+        try:
+            outputs.append(np.asarray(solve()).tobytes())
+        except FloatingPointError as exc:
+            outputs.append(str(exc))
+    return outputs
+
+
+class TestRowBlockSweep:
+    # The sweep's blocks: one row, 7 rows (a last block of 1 row on 99 points, 5 on 999),
+    # and the whole grid.
+    @pytest.mark.parametrize("n_dsrc, n_wifi, costed, grid", [
+        (2, 5, False, None), (5, 5, True, None), (12, 4, False, FINE), (20, 20, True, FINE),
+        *((nd, nw, costed, None) for nd, nw, costed, _ in NON_FINITE_GAMES),
+    ], ids=["2x5", "5x5-costed", "12x4-fine", "20x20-costed-fine", *NON_FINITE_IDS])
+    def test_solver_outputs_do_not_depend_on_the_block_size(self, n_dsrc, n_wifi, costed, grid, monkeypatch):
+        surf = any_game(n_dsrc, n_wifi, costed, grid)
+        n = surf.grid.n_points
+        outputs = []
+        for rows in (1, 7, n):
+            monkeypatch.setattr(game, "_BLOCK_CELLS", rows * n)
+            outputs.append(solver_outputs(replace(surf)))  # a copy, whose sweep has not run
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_solver_peak_memory_is_the_two_masks(self):
+        # Payoff grids held beside the masks would add two 999x999 float grids, 16 MB.
+        solver_outputs(free_game(2, 2))  # first-call allocations
+        surf = any_game(12, 4, grid=FINE)
+        tracemalloc.start()
+        try:
+            enumerate_nash(surf)
+            for leader in (DSRC, WIFI):
+                solve_stackelberg(leader, surf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the masks, plus 1 MiB for the row blocks' temporaries and axis-sized vectors
+        assert peak <= surf._br_dsrc.nbytes + surf._br_wifi.nbytes + (1 << 20)
 
 
 class TestSingleNetworkOptimum:

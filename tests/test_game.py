@@ -221,7 +221,8 @@ class TestSurfaces:
         surf = build_surfaces(cfg)
         for tau_d, tau_w in [(0.05, 0.9), (0.46, 0.46)]:
             i, j = index_of(surf.grid, tau_d), index_of(surf.grid, tau_w)
-            identity = surf.payoff_dsrc[i, j] + surf.cost[i, j] + surf.age_rescaled[i, j]
+            u_d, _ = surf._payoffs(lambda a: a[i, j])
+            identity = u_d + surf.cost[i, j] + surf.age_rescaled[i, j]
             assert identity == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError):
             index_of(surf.grid, 0.015)
@@ -231,12 +232,11 @@ class TestSurfaces:
         surf = build_surfaces(cfg)
         i, j = index_of(surf.grid, 0.31), index_of(surf.grid, 0.44)
         thr = _throughput_expr(cells_at(StrategyPair(0.31, 0.44), cfg))
-        assert surf.payoff_wifi[i, j] == pytest.approx(thr, rel=1e-12)
+        assert surf._payoffs(lambda a: a[i, j])[1] == pytest.approx(thr, rel=1e-12)
 
     def test_free_game_best_replies_minimize_raw_age(self):
         surf = build_surfaces(NetworkConfig(2, 2, 0.001))
-        u_d = surf.payoff_dsrc
-        assert np.array_equal(u_d.argmax(axis=0), surf.age.argmin(axis=0))
+        assert np.array_equal(surf._br_dsrc.argmax(axis=0), surf.age.argmin(axis=0))
 
     def test_payoff_continuity_under_grid_refinement(self):
         cfg = NetworkConfig(2, 2, 0.001, w_idle=0.001, w_col=1.001)
@@ -245,7 +245,7 @@ class TestSurfaces:
         for step in (0.01, 0.001):
             surf = build_surfaces(cfg, GridSpec(lo=0.30, hi=0.50, step=step), rescale=keep_raw)
             j = index_of(surf.grid, 0.40)
-            for u in (surf.payoff_dsrc[:, j], surf.payoff_wifi[:, j]):
+            for u in surf._payoffs(lambda a: a[:, j]):
                 diffs.setdefault(step, 0.0)
                 diffs[step] = max(diffs[step], float(np.abs(np.diff(u)).max()))
         assert diffs[0.01] / diffs[0.001] >= 5.0

@@ -116,6 +116,18 @@ class TestInterUpdateMoments:
         with pytest.raises(ValueError):
             aoi_node(vector(0.0, 0.4), S001, 0)
 
+    @pytest.mark.parametrize("n, tau, p", [(8000, 0.1, "5e-324"), (3000, 0.25, "0.0")],
+                             ids=["p-squared-underflows", "p-underflows"])
+    def test_underflowing_update_probability_overflows_the_moments(self, n, tau, p):
+        v = vector(*(tau,) * n)
+        message = f"moments of node 0 overflow the double range: its per-slot update probability is {p},"
+        for view in (inter_update_moments, aoi_node):
+            with pytest.raises(FloatingPointError, match=message):
+                view(v, S001, 0)
+        # An exact zero still never updates: a node beside an always-transmitting one.
+        with pytest.raises(ValueError, match="never updates"):
+            aoi_node(vector(0.4, 1.0), S001, 0)
+
     @given(taus_interior)
     def test_composition_equals_closed_form(self, taus):
         v = vector(*taus)

@@ -27,7 +27,10 @@ REMOVED = {
 REMOVED_ATTRIBUTES = {
     model.NetworkConfig: ("n_total",),
     model._Cells: ("at",),
-    game.PayoffSurfaces: ("payoff", "indices_of", "payoff_dsrc_grid", "payoff_wifi_grid"),
+    # The payoff grids: the solvers read both payoffs block by block in one sweep.
+    game.PayoffSurfaces: (
+        "payoff", "indices_of", "payoff_dsrc_grid", "payoff_wifi_grid", "payoff_dsrc", "payoff_wifi",
+    ),
     # Members that only tests called; the tests' own versions are in tests/cells.py.
     game.GridSpec: ("index_of",),
     simulate.SimResult: ("slot_fraction_se",),
