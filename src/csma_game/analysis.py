@@ -117,9 +117,10 @@ def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, scan: G
     change is allowed and it must run negative to positive. ``opponents`` is
     a sequence of opponent strategies, scanned as one (values x scan points)
     array; the reports come back as a tuple in its order. Raises ValueError
-    when the scanned network has no nodes or a value lies outside [0, 1), and
-    FloatingPointError when a DSRC scan's (1-tau)^n_w, which locates the
-    update-rate root, underflows to 0: the first bad value raises its error.
+    when the scanned network has no nodes, a value lies outside [0, 1) or the
+    scan keeps fewer than two points, and FloatingPointError when a DSRC
+    scan's (1-tau)^n_w, which locates the update-rate root, underflows to 0:
+    the first bad value raises its error.
     """
     _require_player(player)
     dsrc = player == DSRC
@@ -138,7 +139,11 @@ def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, scan: G
         raise ValueError("fixed opponent strategy must lie in [0, 1)")
     scan = scan if scan is not None else GridSpec(lo=0.001, hi=0.999, step=0.001)
     pts = scan.points()
-    own = _Axis(pts[(pts >= _EDGE_MARGIN) & (pts <= 1.0 - _EDGE_MARGIN)], own_n)
+    pts = pts[(pts >= _EDGE_MARGIN) & (pts <= 1.0 - _EDGE_MARGIN)]
+    if pts.size < 2:  # no pair of neighbours, so no sign change could show
+        raise ValueError(f"the scan keeps {pts.size} point(s) inside [{_EDGE_MARGIN}, {1.0 - _EDGE_MARGIN}], "
+                         "too few to show a sign change")
+    own = _Axis(pts, own_n)
     if dsrc:
         totals = np.add(*_age_slope_parts(_Cells(own, opp, config.beta)))
         bound, roots = _tau_prime_bound(config.beta, own_n), _alpha2_root(own_n, config.beta, opp.q[:, 0]).tolist()

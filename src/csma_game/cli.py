@@ -8,9 +8,11 @@ with analytic reference columns). Output is CSV or JSON with numbers at 6
 significant digits and deterministic row order, so identical invocations
 produce byte-identical files.
 
-Option values resolve as: explicit flag > --preset > --config file >
-built-in default. Exit codes: 0 success, 1 configuration error, 2 runtime
-error.
+Each subcommand accepts only the flags it reads; ``csma-game <subcommand>
+--help`` lists them. Option values resolve as: explicit flag > --preset >
+--config file > built-in default. The config file holds ``key = value``
+lines keyed by flag name, and a key the subcommand does not read is
+ignored. Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Built-in defaults, keyed like the config file: one file may serve several subcommands.
 _DEFAULTS = {
     "nd": "1",
     "nw": "1",
@@ -76,22 +79,6 @@ _DEFAULTS = {
 # Named weight presets; the costed one tracks the resolved beta.
 _PRESETS = ("nocost", "costed", "nudge150", "nudge400")
 
-_SHARED_FLAGS = (
-    "nd", "nw", "beta", "w_idle", "w_col", "grid_lo", "grid_hi", "grid_step",
-    "format", "out", "preset", "config",
-)
-
-_COMMAND_FLAGS = {
-    "metrics": _SHARED_FLAGS + ("tau_d", "tau_w"),
-    "nash": _SHARED_FLAGS + ("rescale",),
-    "sweep": _SHARED_FLAGS + ("rescale",),
-    "stackelberg": _SHARED_FLAGS + ("rescale", "leader"),
-    "optimum": _SHARED_FLAGS + ("kind", "n"),
-    "verify": _SHARED_FLAGS + ("player", "tau_opp", "scan_step"),
-    "simulate": _SHARED_FLAGS + ("tau_d", "tau_w", "seed", "horizon", "warmup"),
-}
-
-
 @lru_cache(maxsize=None)
 def _parser(command: str | None) -> _Parser:
     """One parser of the subcommand and, if ``command`` names one, of its flags; built once per process.
@@ -100,8 +87,8 @@ def _parser(command: str | None) -> _Parser:
     """
     parser = _Parser(prog="csma-game" if command is None else f"csma-game {command}",
                      description=__doc__ if command is None else None)
-    parser.add_argument("command", choices=_COMMAND_FLAGS, help=argparse.SUPPRESS if command else None)
-    for flag in _COMMAND_FLAGS.get(command, ()):
+    parser.add_argument("command", choices=_COMMANDS, help=argparse.SUPPRESS if command else None)
+    for flag in _COMMANDS[command][1] if command else ():
         parser.add_argument("--" + flag.replace("_", "-"), dest=flag)
     return parser
 
@@ -130,11 +117,8 @@ def _load_config_file(path: str) -> dict[str, str]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        for sep in ("=", ":"):
-            if sep in stripped:
-                key, _, raw = stripped.partition(sep)
-                break
-        else:
+        key, sep, raw = stripped.partition("=")
+        if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         key = key.strip().replace("-", "_")
         if key not in _DEFAULTS:
@@ -148,7 +132,7 @@ class _Options:
 
     def __init__(self, args: argparse.Namespace):
         self._flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "preset")}
-        self._file = _load_config_file(args.config) if getattr(args, "config", None) else {}
+        self._file = _load_config_file(args.config) if args.config else {}
         self._preset: dict[str, str] = {}
         preset = getattr(args, "preset", None)
         if preset is not None:
@@ -274,7 +258,7 @@ def _run_metrics(opt: _Options):
     if (tau_d is None) == (tau_w is None):
         raise ConfigError("metrics needs exactly one fixed strategy: give --tau-d or --tau-w")
     StrategyPair(tau_d=tau_d or 0.0, tau_w=tau_w or 0.0)  # rejects a fixed strategy outside [0, 1)
-    config = _network(opt, opt.number("nd", int), opt.number("nw", int))
+    config = NetworkConfig(opt.number("nd", int), opt.number("nw", int), opt.number("beta"))
     pts = _grid(opt).points()
     if tau_w is not None:
         td, tw = pts, np.full_like(pts, tau_w)
@@ -309,7 +293,7 @@ def _run_verify(opt: _Options):
 
 
 def _run_simulate(opt: _Options):
-    config = _network(opt, opt.number("nd", int), opt.number("nw", int))
+    config = NetworkConfig(opt.number("nd", int), opt.number("nw", int), opt.number("beta"))
     pair = StrategyPair(tau_d=opt.number("tau_d") or 0.0, tau_w=opt.number("tau_w") or 0.0)
     vector = AccessVector.homogeneous(config, pair)
     sim = SimConfig(
@@ -343,14 +327,22 @@ def _run_simulate(opt: _Options):
     return header, rows
 
 
-_HANDLERS = {
-    "metrics": _run_metrics,
-    "nash": _run_nash,
-    "sweep": _run_sweep,
-    "stackelberg": _run_stackelberg,
-    "optimum": _run_optimum,
-    "verify": _run_verify,
-    "simulate": _run_simulate,
+# Each subcommand's handler and the option fields it reads, in --help order; --preset sets the
+# weights, so it goes with them. The key order is the bare parser's choices line.
+_COMMANDS = {
+    "metrics": (_run_metrics, ("nd", "nw", "beta", "grid_lo", "grid_hi", "grid_step", "format", "out", "config",
+                               "tau_d", "tau_w")),
+    "nash": (_run_nash, ("nd", "nw", "beta", "w_idle", "w_col", "grid_lo", "grid_hi", "grid_step", "format", "out",
+                         "preset", "config", "rescale")),
+    "sweep": (_run_sweep, ("nd", "nw", "beta", "w_idle", "w_col", "grid_lo", "grid_hi", "grid_step", "format",
+                           "out", "preset", "config", "rescale")),
+    "stackelberg": (_run_stackelberg, ("nd", "nw", "beta", "w_idle", "w_col", "grid_lo", "grid_hi", "grid_step",
+                                       "format", "out", "preset", "config", "rescale", "leader")),
+    "optimum": (_run_optimum, ("beta", "grid_lo", "grid_hi", "grid_step", "format", "out", "config", "kind", "n")),
+    "verify": (_run_verify, ("nd", "nw", "beta", "w_idle", "w_col", "format", "out", "preset", "config",
+                             "player", "tau_opp", "scan_step")),
+    "simulate": (_run_simulate, ("nd", "nw", "beta", "format", "out", "config",
+                                 "tau_d", "tau_w", "seed", "horizon", "warmup")),
 }
 
 
@@ -379,11 +371,11 @@ def _render(header: list[str], rows: list[tuple], fmt: str) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser(argv[0] if argv and argv[0] in _COMMAND_FLAGS else None).parse_args(argv)
+        args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         opt = _Options(args)
         fmt = opt.choice("format", ("csv", "json"))
         out = opt.raw("out")
-        header, rows = _HANDLERS[args.command](opt)
+        header, rows = _COMMANDS[args.command][0](opt)
         text = _render(header, rows, fmt)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

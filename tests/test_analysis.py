@@ -416,3 +416,17 @@ def test_sequence_checks_each_value_in_order():
     assert str(exc.value).startswith("(1-0.95)^400 underflows to 0")
     # the WiFi scan needs no update-rate root, so an underflowing DSRC factor is no error
     assert len(verify_quasiconcavity(WIFI, NetworkConfig(400, 2, 0.001), [0.9])) == 1
+
+
+@pytest.mark.parametrize("scan, kept", [
+    (GridSpec(0.5, 0.5, 0.5), 1),  # what `verify --scan-step 0.5` scans
+    (GridSpec(5e-5, 5e-5, 0.1), 0),  # inside the edge margin
+], ids=["one-point", "no-point"])
+def test_scan_too_coarse_to_show_a_sign_change_is_rejected(scan, kept):
+    cfg = NetworkConfig(2, 2, 0.001)
+    for player in (DSRC, WIFI):
+        with pytest.raises(ValueError, match=rf"the scan keeps {kept} point\(s\) inside \[0.0001, 0.9999\]"):
+            verify_quasiconcavity(player, cfg, [0.2], scan=scan)
+    # two points are the fewest a sign change needs
+    (report,) = verify_quasiconcavity(DSRC, cfg, [0.2], scan=GridSpec(0.1, 0.9, 0.8))
+    assert report.sign_change_count == 1 and report.sign_pattern_ok

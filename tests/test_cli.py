@@ -161,6 +161,31 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("line, message", [
+    ("nd: 2", "expected 'key = value', got 'nd: 2'"),
+    ("out: /tmp/a=b", "unknown config key 'out: /tmp/a'"),
+], ids=["colon", "colon-before-equals"])
+def test_config_file_has_one_syntax(line, message, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"nw = 2\n{line}\n")
+    assert main(["nash", "--config", str(conf)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {conf}:2: {message}\n"
+
+
+def test_config_keys_a_subcommand_does_not_read_are_ignored(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("nd = 1\nnw = 1\nw_idle = nan\nleader = dsrc\ngrid_lo = 0.1\ngrid_hi = 0.9\ngrid_step = 0.1\n")
+    assert main(["nash", "--config", str(conf)]) == 1  # nash reads the weights
+    assert capsys.readouterr().err == "error: cost weights must be finite and non-negative\n"
+    code, out = run_cli(["metrics", "--config", str(conf), "--tau-w", "0.2"], capsys)
+    assert code == 0 and len(parse_csv(out)[1]) == 9
+    code, out = run_cli(["simulate", "--config", str(conf), "--tau-d", "0.3", "--tau-w", "0.2", "--horizon", "2000"],
+                        capsys)
+    assert code == 0 and len(parse_csv(out)[1]) == 2
+
+
 def test_invalid_flag_value_names_the_field(tmp_path, capsys):
     code = main(["nash", "--nd", "two"])
     err = capsys.readouterr().err
@@ -237,7 +262,7 @@ def test_unallocatable_grid_is_runtime_error(monkeypatch, capsys):
     def too_large(opt):
         raise MemoryError("Unable to allocate 6.99 TiB for an array with shape (980001, 980001)")
 
-    monkeypatch.setitem(cli._HANDLERS, "nash", too_large)
+    monkeypatch.setitem(cli._COMMANDS, "nash", (too_large, cli._COMMANDS["nash"][1]))
     assert main(["nash", "--grid-step", "0.000001"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -304,10 +329,23 @@ def test_subcommand_help_lists_only_its_flags(capsys):
     assert "--rescale" in out and "--horizon" not in out
 
 
-@pytest.mark.parametrize("argv", [["metrics", "--leader", "dsrc"], [], ["bogus"], ["nash", "--eps-tie", "0"]])
+SIMULATE = ["simulate", "--nd", "1", "--nw", "1", "--tau-d", "0.3", "--tau-w", "0.2", "--horizon", "2000"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--leader", "dsrc"], [], ["bogus"], ["nash", "--eps-tie", "0"],
+    ["optimum", "--n", "2", "--nd", "7"],
+    ["metrics", "--nd", "1", "--nw", "1", "--tau-w", "0.2", "--preset", "costed"],
+    ["verify", "--nd", "2", "--nw", "2", "--grid-step", "0.3"],
+    SIMULATE + ["--grid-step", "0.5"],
+    SIMULATE + ["--w-col", "5"],
+    ["verify", "--nd", "2", "--nw", "2", "--scan-step", "0.5"],
+])
 def test_missing_unknown_or_foreign_arguments_are_config_errors(argv, capsys):
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_prefix_and_equals_flag_forms(capsys):
@@ -329,7 +367,48 @@ def test_parser_has_only_the_subcommands_flags(monkeypatch, capsys):
     cli._parser.cache_clear()  # so that this call builds the nash parser
     assert main(["nash", "--nd", "2", "--nw", "2"]) == 0
     # the nash flags, the subcommand positional and -h/--help
-    assert 0 < len(added) <= len(cli._COMMAND_FLAGS["nash"]) + 2
+    assert 0 < len(added) <= len(cli._COMMANDS["nash"][1]) + 2
+
+
+# One valid invocation per subcommand, each reaching every option its handler reads.
+VALID = {
+    "metrics": ["metrics", "--nd", "1", "--nw", "2", "--tau-w", "0.2"],
+    "nash": ["nash", "--nd", "2", "--nw", "2"],
+    "sweep": ["sweep", "--nd", "1,2", "--nw", "1"],
+    "stackelberg": ["stackelberg", "--nd", "2", "--nw", "2"],
+    "optimum": ["optimum", "--n", "2"],
+    "verify": ["verify", "--nd", "2", "--nw", "2", "--tau-opp", "0.3", "--scan-step", "0.01"],
+    "simulate": SIMULATE,
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_subcommand_declares_exactly_the_options_it_reads(command, monkeypatch, capsys):
+    read = set()
+    real = cli._Options.raw
+
+    def recording(self, field):
+        read.add(field)
+        return real(self, field)
+
+    monkeypatch.setattr(cli._Options, "raw", recording)
+    assert main(VALID[command]) == 0
+    flags = cli._COMMANDS[command][1]
+    assert read == set(flags) - {"config", "preset"}  # both are read by _Options itself
+    assert ("preset" in flags) == ("w_idle" in flags)  # the preset sets the weights
+
+
+def test_readme_lists_each_subcommands_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {}
+    for line in readme.splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0] in COMMANDS:
+            listed[cells[0]] = cells[2].split()
+    declared = {command: ["--" + flag.replace("_", "-") for flag in flags]
+                for command, (_, flags) in cli._COMMANDS.items()}
+    assert listed == declared
+    assert list(cli._COMMANDS) == list(COMMANDS)
 
 
 def test_cached_parsers_answer_as_fresh_ones(capsys):
