@@ -4,13 +4,13 @@ Each player's negated payoff has a closed-form derivative in its own
 strategy that splits into named terms: a curvature term from the busy-slot
 ratio, a dominant term from the update rate (age side only), and the cost
 contributions of collisions and idling. ``verify_quasiconcavity`` scans
-the derivative along one strategy axis against many opponent values at
-once and checks the sign pattern of a unimodal payoff: non-positive then
-non-negative, with at most one sign change. A DSRC report also carries two
-landmarks: the opponent-free bound on where the curvature term's
-denominator reaches one, and the update-rate term's root. All terms combine
-the per-axis contention factors of :mod:`~csma_game.model`; the cost terms
-of both players share one formula.
+the derivative at the multiples of a step along one strategy axis, against
+many opponent values at once, and checks the sign pattern of a unimodal
+payoff: non-positive then non-negative, with at most one sign change. A
+DSRC report also carries two landmarks: the opponent-free bound on where
+the curvature term's denominator reaches one, and the update-rate term's
+root. All terms combine the per-axis contention factors of
+:mod:`~csma_game.model`; the cost terms of both players share one formula.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GridSpec
 from .model import DSRC, NetworkConfig, _Axis, _Cells, _require_player
 
 # Scan points closer than this to 0 or 1 are dropped: the 1/tau^2 term
@@ -109,18 +108,18 @@ def _effective_signs(values: np.ndarray) -> np.ndarray:
     return signs
 
 
-def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, scan: GridSpec | None = None):
+def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, step: float = 0.001):
     """Scan the negated-payoff derivative along one axis and check unimodality.
 
     A payoff that rises then falls in the player's own strategy makes the
     scanned derivative non-positive then non-negative, so at most one sign
     change is allowed and it must run negative to positive. ``opponents`` is
-    a sequence of opponent strategies, scanned as one (values x scan points)
-    array; the reports come back as a tuple in its order. Raises ValueError
-    when the scanned network has no nodes, a value lies outside [0, 1) or the
-    scan keeps fewer than two points, and FloatingPointError when a DSRC
-    scan's (1-tau)^n_w, which locates the update-rate root, underflows to 0:
-    the first bad value raises its error.
+    a sequence of opponent strategies, scanned at the multiples of ``step``
+    in (0, 1) as one array; the reports come back as a tuple in its order.
+    Raises ValueError for a scanned network with no nodes, a value outside
+    [0, 1), a step not positive and finite or fewer than two scan points,
+    and FloatingPointError when a DSRC scan's (1-tau)^n_w, which locates the
+    update-rate root, underflows to 0: the first bad value raises its error.
     """
     _require_player(player)
     dsrc = player == DSRC
@@ -137,8 +136,9 @@ def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, scan: G
                                  "cannot be located for this opponent strategy")
     if n_ok < values.size:
         raise ValueError("fixed opponent strategy must lie in [0, 1)")
-    scan = scan if scan is not None else GridSpec(lo=0.001, hi=0.999, step=0.001)
-    pts = scan.points()
+    if not (0.0 < step < math.inf and 1.0 / step < math.inf):  # also rejects NaN, and a step too small to count
+        raise ValueError(f"scan step must be positive and finite, got {step}")
+    pts = step + step * np.arange(math.ceil(1.0 / step) - 1)
     pts = pts[(pts >= _EDGE_MARGIN) & (pts <= 1.0 - _EDGE_MARGIN)]
     if pts.size < 2:  # no pair of neighbours, so no sign change could show
         raise ValueError(f"the scan keeps {pts.size} point(s) inside [{_EDGE_MARGIN}, {1.0 - _EDGE_MARGIN}], "

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from collections import ChainMap
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -76,8 +77,13 @@ _DEFAULTS = {
     "rescale": "range",
 }
 
-# Named weight presets; the costed one tracks the resolved beta.
-_PRESETS = ("nocost", "costed", "nudge150", "nudge400")
+# Each preset's weights (w_idle, w_col) from the resolved beta, which only the costed one reads.
+_PRESETS = {
+    "nocost": lambda beta: ("0", "0"),
+    "costed": lambda beta: (repr(beta), repr(1.0 + beta)),
+    "nudge150": lambda beta: ("0.001", "150"),
+    "nudge400": lambda beta: ("0.001", "400"),
+}
 
 @lru_cache(maxsize=None)
 def _parser(command: str | None) -> _Parser:
@@ -128,33 +134,19 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 class _Options:
-    """Raw option strings with flag > preset > file > default precedence."""
+    """Raw option strings, looked up in one ChainMap: flag > preset > file > default."""
 
     def __init__(self, args: argparse.Namespace):
-        self._flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "preset")}
-        self._file = _load_config_file(args.config) if args.config else {}
-        self._preset: dict[str, str] = {}
+        flags = {k: v for k, v in vars(args).items() if v is not None and k not in ("command", "config", "preset")}
+        file = _load_config_file(args.config) if args.config else {}
+        self._values = ChainMap(flags, {}, file, _DEFAULTS)  # maps[1] holds the preset's weights
         preset = getattr(args, "preset", None)
         if preset is not None:
-            _as_choice("preset", preset, _PRESETS)
-            beta = self.number("beta")
-            weights = {
-                "nocost": ("0", "0"),
-                "costed": (repr(beta), repr(1.0 + beta)),
-                "nudge150": ("0.001", "150"),
-                "nudge400": ("0.001", "400"),
-            }[preset]
-            self._preset = {"w_idle": weights[0], "w_col": weights[1]}
+            weights = _PRESETS[_as_choice("preset", preset, _PRESETS)](self.number("beta"))
+            self._values.maps[1].update(zip(("w_idle", "w_col"), weights))
 
     def raw(self, field):
-        value = self._flags.get(field)
-        if value is None:
-            value = self._preset.get(field)
-        if value is None:
-            value = self._file.get(field)
-        if value is None:
-            value = _DEFAULTS[field]
-        return value
+        return self._values[field]
 
     def number(self, field, kind=float):
         """The option as ``kind`` (int or float); an option whose default is None stays None."""
@@ -278,13 +270,12 @@ def _run_verify(opt: _Options):
     player = opt.choice("player", (DSRC, WIFI, "both"))
     players = (DSRC, WIFI) if player == "both" else (player,)
     step = opt.number("scan_step")
-    scan = GridSpec(lo=step, hi=1.0 - step, step=step)
     cells = sorted(product(opt.numbers("nd", int), opt.numbers("nw", int)))
     configs = [_network(opt, nd, nw) for nd, nw in cells]
     taus = opt.numbers("tau_opp")
     rows = []
     for ply, config in product(players, configs):  # one scan per player and cell, over every opponent value
-        for tau, rep in zip(taus, verify_quasiconcavity(ply, config, taus, scan=scan)):
+        for tau, rep in zip(taus, verify_quasiconcavity(ply, config, taus, step)):
             rows.append((ply, config.n_dsrc, config.n_wifi, config.beta, config.w_idle, config.w_col, tau,
                          rep.sign_change_count, rep.sign_pattern_ok, rep.tau_prime_bound, rep.alpha2_root))
     header = ["player", "nd", "nw", "beta", "w_idle", "w_col", "tau_opponent",

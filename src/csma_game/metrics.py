@@ -42,25 +42,6 @@ def _node_kernels(v: AccessVector, i: int):
     return k, k.solo[i]
 
 
-def _moments(v: AccessVector, s: SlotLengths, i: int) -> tuple[float, float]:
-    """E[Z] and E[Z^2] for node i; see :func:`inter_update_moments`."""
-    k, p = _node_kernels(v, i)
-    if p == 0.0 and (v.taus[i] == 0.0 or 1.0 in v.taus[:i] + v.taus[i + 1 :]):  # an exact zero, not an underflow
-        raise ValueError("tagged node never updates; inter-update time is infinite")
-    ez = ez2 = np.inf
-    if p * p > 0.0:  # at large n, p or p^2 underflows to 0
-        sig_s = s.success
-        p_other = k.success - p
-        g1 = k.idle * s.idle + p_other * s.success + k.collision * s.collision
-        g2 = k.idle * s.idle**2 + p_other * s.success**2 + k.collision * s.collision**2
-        ez = (g1 + p * sig_s) / p
-        ez2 = sig_s**2 + (2.0 * sig_s * g1 + g2) / p + 2.0 * g1**2 / p**2
-    if not ez2 < np.inf:
-        raise FloatingPointError(f"the inter-update moments of node {i} overflow the double range: "
-                                 f"its per-slot update probability is {p!r}, as when (1-tau)^n underflows")
-    return ez, ez2
-
-
 def per_node_throughput(v: AccessVector, s: SlotLengths, i: int) -> float:
     """Fraction of time occupied by node i's successful transmissions."""
     k, p = _node_kernels(v, i)
@@ -83,7 +64,20 @@ def inter_update_moments(v: AccessVector, s: SlotLengths, i: int) -> InterUpdate
     There is no division by 1 - p: an always-alone node (p = 1) has
     g1 = g2 = 0 and Z = sigma_S exactly.
     """
-    ez, ez2 = _moments(v, s, i)
+    k, p = _node_kernels(v, i)
+    if p == 0.0 and (v.taus[i] == 0.0 or 1.0 in v.taus[:i] + v.taus[i + 1 :]):  # an exact zero, not an underflow
+        raise ValueError("tagged node never updates; inter-update time is infinite")
+    ez = ez2 = np.inf
+    if p * p > 0.0:  # at large n, p or p^2 underflows to 0
+        sig_s = s.success
+        p_other = k.success - p
+        g1 = k.idle * s.idle + p_other * s.success + k.collision * s.collision
+        g2 = k.idle * s.idle**2 + p_other * s.success**2 + k.collision * s.collision**2
+        ez = (g1 + p * sig_s) / p
+        ez2 = sig_s**2 + (2.0 * sig_s * g1 + g2) / p + 2.0 * g1**2 / p**2
+    if not ez2 < np.inf:
+        raise FloatingPointError(f"the inter-update moments of node {i} overflow the double range: "
+                                 f"its per-slot update probability is {p!r}, as when (1-tau)^n underflows")
     return InterUpdateMoments(first=ez, second=ez2)
 
 
@@ -93,8 +87,8 @@ def aoi_node(v: AccessVector, s: SlotLengths, i: int) -> float:
     Age grows at unit rate and drops to sigma_S when an update lands, so the
     average is E[Z^2] / (2 E[Z]) + sigma_S.
     """
-    ez, ez2 = _moments(v, s, i)
-    return ez2 / (2.0 * ez) + s.success
+    moments = inter_update_moments(v, s, i)
+    return moments.second / (2.0 * moments.first) + s.success
 
 
 # Homogeneous closed forms with short idle slots (beta) and success/collision

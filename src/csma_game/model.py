@@ -17,6 +17,7 @@ forms, the payoff surfaces and the derivative terms combine those factors.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -70,6 +71,10 @@ class NetworkConfig:
     w_col: float = 0.0
 
     def __post_init__(self) -> None:
+        try:  # a float count would become a fractional exponent; int and numpy integers pass
+            operator.index(self.n_dsrc), operator.index(self.n_wifi)
+        except TypeError:
+            raise ValueError(f"node counts must be integers, got {self.n_dsrc!r} and {self.n_wifi!r}") from None
         if self.n_dsrc < 0 or self.n_wifi < 0:
             raise ValueError("node counts must be non-negative")
         if self.n_dsrc + self.n_wifi < 1:

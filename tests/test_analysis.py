@@ -27,7 +27,7 @@ from csma_game.analysis import (
     _wifi_slope,
     verify_quasiconcavity,
 )
-from csma_game.game import GridSpec, _cost_expr
+from csma_game.game import _cost_expr
 from csma_game.metrics import _aoi_expr, _throughput_expr
 from csma_game.model import DSRC, WIFI, NetworkConfig, StrategyPair, _Axis
 
@@ -249,12 +249,15 @@ class TestVerifyQuasiconcavity:
         assert report.tau_prime_bound is None and report.alpha2_root is None
 
     def test_custom_scan_and_validation(self):
-        (report,) = verify_quasiconcavity(DSRC, NetworkConfig(2, 2, 0.001), [0.2], scan=GridSpec(0.01, 0.99, 0.01))
+        (report,) = verify_quasiconcavity(DSRC, NetworkConfig(2, 2, 0.001), [0.2], step=0.01)
         assert report.sign_pattern_ok
         with pytest.raises(ValueError):
             verify_quasiconcavity("lte", NetworkConfig(1, 1, 0.001), [0.2])
         with pytest.raises(ValueError):
             verify_quasiconcavity(DSRC, NetworkConfig(1, 1, 0.001), [1.0])
+        for step in (0.0, -0.1, math.nan, math.inf, 1e-320):  # 1/1e-320 overflows, so its points cannot be counted
+            with pytest.raises(ValueError, match="scan step must be positive and finite"):
+                verify_quasiconcavity(DSRC, NetworkConfig(1, 1, 0.001), [0.2], step=step)
 
 
 def test_root_exceeds_bound_wherever_bound_exists():
@@ -282,10 +285,9 @@ def bisection_alpha2_root(n_d, beta, q_w=1.0, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
-def one_value_scan(player, config, fixed_opponent, scan=None):
+def one_value_scan(player, config, fixed_opponent, step=0.001):
     """(sign changes, pattern ok, bound, root) of one opponent value's scan, term by term."""
-    scan = scan if scan is not None else GridSpec(lo=0.001, hi=0.999, step=0.001)
-    pts = scan.points()
+    pts = step + step * np.arange(math.ceil(1.0 / step) - 1)
     pts = pts[(pts >= 1e-4) & (pts <= 1.0 - 1e-4)]
     beta = config.beta
     if player == DSRC:
@@ -327,10 +329,10 @@ def test_newton_root_over_an_array_is_the_root_of_each_entry():
     assert roots.tolist() == [root_at(7, 0.01, float(q)) for q in q_w]
 
 
-def assert_matches_oracle(reports, player, config, opponents, scan=None):
+def assert_matches_oracle(reports, player, config, opponents, step=0.001):
     assert len(reports) == len(opponents)
     for rep, tau in zip(reports, opponents):
-        changes, ok, bound, root = one_value_scan(player, config, tau, scan)
+        changes, ok, bound, root = one_value_scan(player, config, tau, step)
         assert rep.fixed_opponent == tau
         assert (rep.sign_change_count, rep.sign_pattern_ok, rep.tau_prime_bound) == (changes, ok, bound)
         if root is None:
@@ -418,15 +420,16 @@ def test_sequence_checks_each_value_in_order():
     assert len(verify_quasiconcavity(WIFI, NetworkConfig(400, 2, 0.001), [0.9])) == 1
 
 
-@pytest.mark.parametrize("scan, kept", [
-    (GridSpec(0.5, 0.5, 0.5), 1),  # what `verify --scan-step 0.5` scans
-    (GridSpec(5e-5, 5e-5, 0.1), 0),  # inside the edge margin
-], ids=["one-point", "no-point"])
-def test_scan_too_coarse_to_show_a_sign_change_is_rejected(scan, kept):
+@pytest.mark.parametrize("step, kept", [
+    (0.5, 1),  # what `verify --scan-step 0.5` scans
+    (0.99995, 0),  # its one multiple in (0, 1) lies inside the edge margin
+    (1.5, 0),  # no multiple lies in (0, 1)
+], ids=["one-point", "no-point", "above-one"])
+def test_scan_too_coarse_to_show_a_sign_change_is_rejected(step, kept):
     cfg = NetworkConfig(2, 2, 0.001)
     for player in (DSRC, WIFI):
         with pytest.raises(ValueError, match=rf"the scan keeps {kept} point\(s\) inside \[0.0001, 0.9999\]"):
-            verify_quasiconcavity(player, cfg, [0.2], scan=scan)
-    # two points are the fewest a sign change needs
-    (report,) = verify_quasiconcavity(DSRC, cfg, [0.2], scan=GridSpec(0.1, 0.9, 0.8))
+            verify_quasiconcavity(player, cfg, [0.2], step=step)
+    # two points are the fewest a sign change needs: 0.35 and 0.7 straddle it
+    (report,) = verify_quasiconcavity(DSRC, cfg, [0.2], step=0.35)
     assert report.sign_change_count == 1 and report.sign_pattern_ok

@@ -130,6 +130,27 @@ def test_verify_rows(capsys):
     assert all(int(r["sign_changes"]) <= 1 for r in rows)
 
 
+@pytest.mark.parametrize("step", ["0.003", "0.3", "0.07"])
+def test_verify_scans_any_positive_step(step, capsys):
+    code, out = run_cli(["verify", "--nd", "2", "--nw", "2", "--tau-opp", "0.2,0.5", "--scan-step", step], capsys)
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 4  # both players against both opponent values
+
+
+@pytest.mark.parametrize("step, message", [
+    ("0", "scan step must be positive and finite, got 0.0"),
+    ("nan", "scan step must be positive and finite, got nan"),
+    ("-0.1", "scan step must be positive and finite, got -0.1"),
+    ("0.5", "the scan keeps 1 point(s) inside [0.0001, 0.9999], too few to show a sign change"),
+    ("1.5", "the scan keeps 0 point(s) inside [0.0001, 0.9999], too few to show a sign change"),
+], ids=["zero", "nan", "negative", "one-point", "no-point"])
+def test_bad_or_too_coarse_scan_step_is_config_error(step, message, capsys):
+    assert main(["verify", "--nd", "2", "--nw", "2", "--tau-opp", "0.2", "--scan-step", step]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_simulate_emits_analytic_columns(capsys):
     code, out = run_cli(
         ["simulate", "--nd", "1", "--nw", "1", "--tau-d", "0.4", "--tau-w", "0.3",
@@ -152,6 +173,23 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     _, rows = parse_csv(out)
     assert rows[0]["nd"] == "2"
     assert rows[0]["nw"] == "1"
+
+
+@pytest.mark.parametrize("conf, flags, expected", [
+    ("w_col = 6\n", ["--preset", "nudge150", "--w-col", "7"], ("0.001", "0.001", "7")),
+    ("w_idle = 5\nw_col = 6\n", ["--preset", "nudge400"], ("0.001", "0.001", "400")),
+    ("w_col = 6\n", [], ("0.001", "0", "6")),
+    ("beta = 0.01\n", ["--preset", "costed"], ("0.01", "0.01", "1.01")),
+], ids=["flag-over-preset", "preset-over-file", "file-over-default", "costed-reads-the-files-beta"])
+def test_option_lookup_order(conf, flags, expected, tmp_path, capsys):
+    path = tmp_path / "run.conf"
+    path.write_text(conf)
+    argv = ["verify", "--nd", "1", "--nw", "1", "--player", "wifi", "--tau-opp", "0.5", "--scan-step", "0.01",
+            "--config", str(path)]
+    code, out = run_cli(argv + flags, capsys)
+    assert code == 0
+    (row,) = parse_csv(out)[1]
+    assert (row["beta"], row["w_idle"], row["w_col"]) == expected
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

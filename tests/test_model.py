@@ -2,11 +2,12 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csma_game.equilibrium import NashResult, enumerate_nash
+from csma_game.equilibrium import NashResult, enumerate_nash, single_network_optimum
 from csma_game.game import build_surfaces
 from csma_game.model import (
     DSRC,
@@ -174,8 +175,15 @@ class TestDomainTypes:
             NetworkConfig(n_dsrc=1, n_wifi=1, beta=1.5)
         with pytest.raises(ValueError):
             NetworkConfig(n_dsrc=1, n_wifi=1, beta=0.1, w_idle=-0.1)
+        # a count that is not an integer would become a fractional exponent
+        for counts in ((1.5, 2), (2, 2.0)):
+            with pytest.raises(ValueError, match="node counts must be integers"):
+                NetworkConfig(*counts, beta=0.001)
+        with pytest.raises(ValueError, match="node counts must be integers"):
+            single_network_optimum(WIFI, 2.5, 0.001)
         lone = NetworkConfig(n_dsrc=0, n_wifi=3, beta=0.1)
         assert (lone.n_dsrc, lone.n_wifi) == (0, 3)
+        assert NetworkConfig(np.int64(2), 2, 0.001).n_dsrc == 2
 
     @pytest.mark.parametrize("weights", [
         {"w_idle": float("nan")}, {"w_col": float("nan")}, {"w_idle": float("inf")}, {"w_col": float("inf")},
