@@ -42,6 +42,8 @@ class GridSpec:
         if not 0.0 < self.step < math.inf:  # also rejects NaN
             raise ValueError(f"grid step must be positive and finite, got {self.step}")
         ratio = (self.hi - self.lo) / self.step
+        if ratio == math.inf:  # round() would overflow
+            raise ValueError(f"grid step {self.step} is too fine for the span [{self.lo}, {self.hi}]")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):  # the ratio's rounding grows with it
             raise ValueError("grid span must be an integer number of steps")
         if self.hi > self.lo and round(ratio) == 0:

@@ -1,32 +1,30 @@
 """Monte Carlo slot simulator: the independent oracle for the analytics.
 
-One replication draws every node's transmit decision per slot, classifies
-slots as idle/success/collision, and accumulates continuous time as the
-sum of slot durations. One pass covers the warm-up, then each batch, in
-chunks of rows drawn into one reused buffer; they consume the generator's
-stream exactly as one ``(horizon, n)`` draw would. The ``(2, n)`` matrix
-``[1, i]`` times a chunk's transposed 0/1 decisions gives two contiguous
-rows: each slot's transmitter count and, in a success slot, its transmitter,
-exactly (integer sums below 2^53). Memory is one chunk plus per-node x
+Nodes transmit independently, each with its own tau in every slot (Bianchi,
+IEEE JSAC 2000), so node i's transmit slots have geometric gaps
+``1 + floor(E / -log(1 - tau))``, E ~ Exp(1), drawn from its own stream
+``SeedSequence(seed).spawn(n)[i]`` in blocks of running sums; the rest of a
+block carries over, so no block or chunk size changes the realisation. One
+pass covers the warm-up, then each batch, in chunks: the nodes due in a
+chunk give the slices of their blocks in it, and one bincount counts each
+slot's transmitters. A chunk costs its slots plus its transmissions, not
+slots x nodes; memory is one chunk, a block per node and per-node x
 per-batch state, whatever the horizon.
 
-Every per-node estimate comes from the node's delivery times, the ends of
-the slots in which it alone transmitted. Its age grows at unit rate and
-drops to the success-slot length at each delivery, with time 0 counted as
-a delivery, so a gap Z between deliveries adds the area ``s_S*Z + Z^2/2``
-(Kaul, Yates & Gruteser, INFOCOM 2012); the age integral up to any batch
-edge is exact. A chunk's deliveries are sorted into one run per node, so
-each per-node quantity (area, update count, latest delivery) is one
-reduction over the runs, and the gaps Z and Z^2 are merged into their
-running moments together, by one Chan, Golub & LeVeque (1979) update.
-Estimates use only the post-warmup window. Age and throughput standard
-errors come from batch means (age samples are autocorrelated; a naive
-variance would understate the error), while inter-update times are iid by
-construction so their moments use plain sample standard errors.
+Age grows at unit rate and drops to the success-slot length at each of the
+node's deliveries (slots it alone transmits in; time 0 counts as one), so a
+gap Z between deliveries adds ``s_S*Z + Z^2/2`` (Kaul, Yates & Gruteser,
+INFOCOM 2012). A chunk's deliveries come out as one run per node in slot
+order, so area, update count and latest delivery are reductions over runs,
+and Z and Z^2 join their moments by one Chan, Golub & LeVeque (1979) update.
+Estimates cover the post-warmup window only. Age and throughput standard
+errors come from batch means, as age samples are autocorrelated; the iid
+inter-update times use plain sample standard errors.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +32,11 @@ import numpy as np
 from .model import AccessVector, SlotLengths
 
 _N_BATCHES = 100
-# Memory of one chunk in 8-byte words. A slot takes n words of draws and at
-# most _SLOT_WORDS more of temporaries (32 bytes, and 25 more in a delivery
-# slot), so a chunk holds max(1, _CHUNK // (n + _SLOT_WORDS)) slots.
+# Memory of a chunk in 8-byte words: 3 a slot (count, end, slack) and 8 a
+# transmission (its slot in the block and in the chunk, its count and 40 bytes
+# of delivery temporaries): a chunk holds _CHUNK // (3 + 8 sum(tau)) slots.
 _CHUNK = 1 << 20
-_SLOT_WORDS = 8
+_SLOT_WORDS, _TX_WORDS = 3, 8
 
 
 class NoProgressError(RuntimeError):
@@ -47,19 +45,20 @@ class NoProgressError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication length, seed, and the slots excluded from averages.
-
-    ``warmup_slots=None`` means 1% of the horizon.
-    """
+    """Replication length, seed, and the slots excluded from averages (``None``: 1% of the horizon)."""
 
     horizon_slots: int
     seed: int
     warmup_slots: int | None = None
 
     def __post_init__(self) -> None:
-        if self.horizon_slots < 1:
-            raise ValueError("horizon must be at least one slot")
-        if self.resolved_warmup < 0 or self.resolved_warmup >= self.horizon_slots:
+        for name, least in (("horizon_slots", 1), ("seed", 0), ("warmup_slots", 0)):
+            value = getattr(self, name)
+            if value is None and name == "warmup_slots":
+                continue
+            if not hasattr(value, "__index__") or operator.index(value) < least:  # a float fails in numpy
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        if self.resolved_warmup >= self.horizon_slots:
             raise ValueError("warmup must satisfy 0 <= warmup < horizon")
 
     @property
@@ -96,13 +95,6 @@ class SimResult:
         return counts / self.slots_measured
 
 
-def _segment_bounds(warmup: int, horizon: int) -> np.ndarray:
-    """Slot bounds of the warm-up (segment 0) and of the batches (segments 1 to b)."""
-    n = horizon - warmup
-    b = min(_N_BATCHES, n)
-    return np.append(0, warmup + (np.arange(b + 1) * n) // b)
-
-
 def _batch_means(batch_sums: np.ndarray, batch_time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-node time averages over the batches (columns) and their batch-means standard errors."""
     b = batch_time.size
@@ -135,50 +127,59 @@ def _mean_se(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult:
-    """Run one seeded replication and estimate every per-node quantity.
-
-    Deterministic: identical inputs give bit-identical results.
-    """
-    n = len(v)
-    rng = np.random.default_rng(cfg.seed)
-    taus = np.asarray(v.taus)
+    """Per-node estimates from one seeded replication; identical inputs give identical bits."""
+    n, horizon, taus, warmup = len(v), cfg.horizon_slots, np.asarray(v.taus), cfg.resolved_warmup
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a tau = 1 node's gaps are all 1
+        log_q = np.log1p(-taus)
+    # gap = 1 + floor(E * scale), E < 45: a node is silent (inf) where E * scale could overflow
+    scale = np.divide(-1.0, log_q, out=np.full(n, np.inf), where=log_q < -64 / np.finfo(float).max)
+    streams = [np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(n)]
     slot_length = np.array([s.idle, s.success, s.collision])  # by transmitter count 0, 1, 2+
-    classify = np.stack((np.ones(n), np.arange(n)))  # count; the transmitter if alone
-    stop = np.array([n], np.min_scalar_type(n))  # a node key that no node has
-    bounds = _segment_bounds(cfg.resolved_warmup, cfg.horizon_slots)
-    n_seg = bounds.size - 1
-    buf = np.empty((min(max(1, _CHUNK // (n + _SLOT_WORDS)), np.diff(bounds).max()), n))
-    kinds = np.zeros((n_seg, 3), dtype=np.int64)  # idle, success and collision slots
-    updates = np.zeros((n, n_seg), dtype=np.int64)
-    edge_time = np.empty(n_seg)  # the clock at each segment's end
-    edge_area = np.empty((n, n_seg))  # each node's age integral up to there
+    b = min(_N_BATCHES, horizon - warmup)  # segment 0 is the warm-up, 1 to b the batches
+    bounds = np.append(0, warmup + (np.arange(b + 1) * (horizon - warmup)) // b)
+    chunk = max(1, int(_CHUNK // (_SLOT_WORDS + _TX_WORDS * taus.sum())))  # slots, or a segment's rest
+    block = np.maximum(256, np.ceil(taus * min(chunk, horizon))).astype(int).tolist()  # gaps a draw
+    kinds = np.zeros((b + 1, 2), dtype=np.int64)  # idle and success slots; the rest collide
+    updates = np.zeros((n, b + 1), dtype=np.int64)
+    edge_time = np.empty(b + 1)  # the clock at each segment's end
+    edge_area = np.empty((n, b + 1))  # each node's age integral up to there
     last, area = np.zeros((2, n))  # latest delivery (time 0 counts as one), age integral up to it
     measured = np.zeros(n, dtype=bool)  # `last` lies after the warm-up
     gaps = np.zeros((3, 2, n))  # count, mean and squared deviations of Z and of Z^2
 
-    def deliveries(transmit: np.ndarray, seg: int, clock: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Count one chunk's slot kinds; returns its deliveries' nodes and times, by node
-        and then in slot order, and the clock at its end. Its slot arrays die on return."""
-        count, sender = classify @ transmit.T  # exact: integer sums below 2**53
-        end = slot_length.take(count.astype(np.intp), mode="clip")
+    def draw(i: int, after: int) -> np.ndarray:
+        """Node i's next transmit slots after `after`; gaps cut at horizon + 1 keep them in int64."""
+        x = np.minimum(streams[i].standard_exponential(block[i]) * scale[i], horizon)
+        return after + np.cumsum(x.astype(np.int64) + 1)  # astype floors, as x >= 0
+
+    blocks = [draw(i, -1) if scale[i] < np.inf else np.array([horizon]) for i in range(n)]
+    next_slot = np.array([ahead[0] for ahead in blocks])
+
+    def add_chunk(first: int, stop: int, seg: int, clock: float) -> float:
+        """Add slots first to stop; returns the clock at their end."""
+        active, parts = np.flatnonzero(next_slot < stop), [none]
+        for i in active.tolist():  # each due node's transmit slots up to `stop`
+            ahead = blocks[i]
+            while ahead[-1] < stop:  # carry the rest of the block over to the next
+                ahead = np.concatenate((ahead, draw(i, ahead[-1])))
+            k = ahead.searchsorted(stop)
+            blocks[i], next_slot[i] = ahead[k:], ahead[k]
+            parts.append(ahead[:k])
+        slot = np.concatenate(parts) - first
+        count = np.bincount(slot, minlength=stop - first)  # transmitters per slot
+        end = slot_length.take(count, mode="clip")
         end[0] += clock
         np.cumsum(end, out=end)  # each slot's end, as one cumsum over the horizon gives
-        solo = np.flatnonzero(count == 1)
-        idle = count.size - np.count_nonzero(count)
-        kinds[seg] += idle, solo.size, count.size - idle - solo.size
-        node = sender[solo].astype(stop.dtype)
-        order = node.argsort(kind="stable")  # a radix sort for up to 65 535 nodes
-        return node[order], end[solo[order]], end[-1]
-
-    def add_chunk(transmit: np.ndarray, seg: int, clock: float) -> float:
-        """Add one chunk of 0/1 decisions; returns the clock at its end."""
-        node, t, clock = deliveries(transmit, seg, clock)
-        starts = np.flatnonzero(np.diff(np.concatenate((stop, node))))  # each node's run
-        ends = np.append(starts, t.size)[1:]
-        node, size = node[starts], ends - starts
+        solo = (count == 1).take(slot)  # the deliveries, by node and then in slot order
+        t, clock = end.take(slot.compress(solo)), end[-1]  # compress: faster than slot[solo]
+        kinds[seg] += count.size - np.count_nonzero(count), t.size
+        got = np.add.reduceat(solo, np.cumsum([p.size for p in parts])[:-1], dtype=np.intp)  # by due node
+        del slot, count, end, solo  # before the run temporaries
+        node, size = active[got > 0], got[got > 0]  # each node's run of deliveries
+        starts = np.cumsum(size) - size
         z = t - np.concatenate(([0.0], t[:-1]))  # time since the node's previous delivery
         z[starts] = t[starts] - last[node]
-        last[node] = t[ends - 1]
+        last[node] = t[starts + size - 1]
         x = np.array((z, z * z))
         area[node] += np.add.reduceat(s.success * z + 0.5 * x[1], starts)
         if seg:
@@ -187,12 +188,10 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
             measured[node] = True
         return clock
 
-    clock = 0.0
-    for seg in range(n_seg):
-        for first in range(bounds[seg], bounds[seg + 1], len(buf)):
-            draw = buf[: min(len(buf), bounds[seg + 1] - first)]
-            rng.random(out=draw)
-            clock = add_chunk(np.less(draw, taus, out=draw), seg, clock)
+    none, clock = np.empty(0, np.int64), 0.0
+    for seg in range(b + 1):
+        for first in range(bounds[seg], bounds[seg + 1], chunk):
+            clock = add_chunk(first, min(first + chunk, bounds[seg + 1]), seg, clock)
         edge_time[seg] = clock
         since = clock - last
         edge_area[:, seg] = area + s.success * since + 0.5 * since * since
@@ -200,13 +199,12 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     if not kinds[:, 1].any():
         raise NoProgressError("no successful slot in the whole horizon; all access probabilities zero?")
     batch_time = np.diff(edge_time)
-    idle, success, collision = kinds[1:].sum(axis=0).tolist()
+    idle, success = kinds[1:].sum(axis=0).tolist()
     return SimResult(
         *_batch_means(s.success * updates[:, 1:], batch_time),
         *_batch_means(np.diff(edge_area, axis=1), batch_time),
         *_mean_se(gaps[:, 0]), *_mean_se(gaps[:, 1]),  # Z, then Z^2
         update_counts=updates.sum(axis=1),
-        slots_idle=idle, slots_success=success, slots_collision=collision,
-        slots_measured=cfg.horizon_slots - cfg.resolved_warmup,
-        time_measured=float(batch_time.sum()),
+        slots_idle=idle, slots_success=success, slots_collision=horizon - warmup - idle - success,
+        slots_measured=horizon - warmup, time_measured=float(batch_time.sum()),
     )

@@ -259,6 +259,12 @@ def test_simulate_without_activity_is_runtime_error(capsys):
     assert code == 2
 
 
+def test_negative_seed_is_config_error(capsys):
+    code = main(["simulate", "--nd", "1", "--nw", "1", "--tau-d", "0.3", "--horizon", "100", "--seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: seed must be an integer of at least 0, got -1\n"
+
+
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_non_finite_lone_optimum_is_runtime_error(capsys):
     code = main(["optimum", "--kind", "dsrc", "--n", "100000"])
@@ -284,7 +290,8 @@ def test_metrics_fixed_strategy_outside_unit_interval_is_config_error(fixed, mes
     ("inf", "grid step must be positive and finite, got inf"),
     ("nan", "grid step must be positive and finite, got nan"),
     ("1e300", "grid step 1e+300 exceeds the span [0.1, 0.5]"),
-], ids=["inf", "nan", "oversized"])
+    ("1e-320", "grid step 1e-320 is too fine for the span [0.1, 0.5]"),
+], ids=["inf", "nan", "oversized", "too-fine"])
 def test_non_finite_or_oversized_grid_step_is_config_error(step, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -54,7 +54,8 @@ class TestGridSpec:
         (float("inf"), "grid step must be positive and finite, got inf"),
         (float("nan"), "grid step must be positive and finite, got nan"),
         (1e300, "grid step 1e+300 exceeds the span [0.1, 0.5]"),
-    ], ids=["inf", "nan", "oversized"])
+        (1e-320, "grid step 1e-320 is too fine for the span [0.1, 0.5]"),
+    ], ids=["inf", "nan", "oversized", "too-fine"])
     def test_non_finite_or_oversized_step_rejected(self, step, message):
         with pytest.raises(ValueError) as exc:
             GridSpec(lo=0.1, hi=0.5, step=step)

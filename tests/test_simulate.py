@@ -2,6 +2,7 @@
 and with a dense per-slot reference, bounded memory."""
 
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -21,10 +22,18 @@ SLOT_FIELDS = ("slots_idle", "slots_success", "slots_collision", "slots_measured
 
 
 def dense_reference(v, s, cfg):
-    """Per-slot x per-node oracle: one dense (horizon, n) draw, then every
-    node's age and channel occupancy integrated slot by slot."""
+    """Per-slot x per-node oracle: a dense (horizon, n) transmit matrix built
+    from each node's gap stream, drawn in one piece, then every node's age and
+    channel occupancy integrated slot by slot."""
     n, horizon, warmup = len(v), cfg.horizon_slots, cfg.resolved_warmup
-    transmit = np.random.default_rng(cfg.seed).random((horizon, n)) < np.asarray(v.taus)
+    transmit = np.zeros((horizon, n), dtype=bool)
+    for i, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(n)):
+        # node i's geometric gaps from its own stream, as many as the horizon has slots
+        with np.errstate(divide="ignore"):  # tau = 0 gives an infinite scale, tau = 1 a zero one
+            scale = -1.0 / np.log1p(-v.taus[i])
+        gap = np.floor(np.random.default_rng(seq).standard_exponential(horizon) * scale) + 1.0
+        slot = np.cumsum(np.minimum(gap, horizon + 1).astype(np.int64)) - 1
+        transmit[slot[slot < horizon], i] = True
     tx_count = transmit.sum(axis=1)
     success = tx_count == 1
     slot_len = np.where(tx_count == 0, s.idle, np.where(success, s.success, s.collision))
@@ -79,6 +88,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(horizon_slots=100, seed=1, warmup_slots=100)
     assert SimConfig(horizon_slots=500, seed=1).resolved_warmup == 5
+    assert SimConfig(horizon_slots=np.int64(500), seed=np.uint32(7), warmup_slots=np.int16(3)).resolved_warmup == 3
+    with pytest.raises(ValueError, match="horizon_slots"):
+        SimConfig(horizon_slots=1000.5, seed=1)
+    with pytest.raises(ValueError, match="warmup_slots"):
+        SimConfig(horizon_slots=1000, seed=1, warmup_slots=10.0)
+    with pytest.raises(ValueError, match="warmup_slots"):
+        SimConfig(horizon_slots=1000, seed=1, warmup_slots=-1)
+    for seed in (-1, 1.5, None, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(horizon_slots=1000, seed=seed)
 
 
 def test_seed_determinism():
@@ -260,9 +279,9 @@ def test_memory_does_not_grow_with_the_horizon(monkeypatch):
 
 @pytest.mark.parametrize("tau", [0.01, 1.0])
 def test_one_node_chunk_stays_within_its_budget(tau):
-    # A lone node draws 8 bytes a slot; the chunk's temporaries take up to 58
-    # more (every slot is a delivery at tau = 1). A 1.05M-slot warm-up spans
-    # several chunks; a chunk of _CHUNK slots would peak at 40-66 MiB.
+    # A chunk takes 16 bytes a slot and about 50 a transmission (every slot is
+    # a delivery at tau = 1). A 1.05M-slot warm-up spans several chunks; a
+    # chunk of _CHUNK slots would peak at 16-61 MiB.
     v = AccessVector((tau,), (DSRC,))
     run_simulation(v, S001, SimConfig(horizon_slots=1_000, seed=5))  # first-call allocations
     tracemalloc.start()
@@ -277,7 +296,7 @@ def test_one_node_chunk_stays_within_its_budget(tau):
 def test_measured_chunks_stay_within_the_budget():
     # The warm-up chunks above merge no gaps. Here 120 000-slot batches hold
     # whole chunks, and at tau = 1 each slot's gap is merged into the moments.
-    assert simulate._CHUNK // (1 + simulate._SLOT_WORDS) < 120_000
+    assert simulate._CHUNK // (simulate._SLOT_WORDS + simulate._TX_WORDS * 1.0) < 120_000
     v = AccessVector((1.0,), (DSRC,))
     run_simulation(v, S001, SimConfig(horizon_slots=1_000, seed=5))  # first-call allocations
     tracemalloc.start()
@@ -287,3 +306,25 @@ def test_measured_chunks_stay_within_the_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * simulate._CHUNK
+
+
+def test_a_thousand_nodes_match_the_analytics():
+    # 998 nodes at tau = 0.001 and two that never transmit: at the smallest
+    # subnormal tau, -1 / log1p(-tau) overflows a float, and at 3e-308 an
+    # exponential draw times it would.
+    # A node delivers about once in 2 700 slots, so 10M slots give each of the
+    # 100 batches some 36 deliveries. Over 300 000 slots a batch holds about
+    # one, the batch means are correlated, and the age standard errors read
+    # 1.7 times too small (z-scores with a spread of 1.69 over the nodes).
+    v = AccessVector((0.001,) * 998 + (5e-324, 3e-308), (DSRC, WIFI) * 500)
+    res = run_simulation(v, S001, SimConfig(horizon_slots=10_000_000, seed=19))
+    assert (res.update_counts[998:] == 0).all() and (res.throughput[998:] == 0.0).all()
+    assert np.isnan(res.inter_update_mean[998:]).all()
+    # Bonferroni over 998 nodes x 3 estimates at a two-sided 1% level
+    z_bound = NormalDist().inv_cdf(1.0 - 0.01 / (2 * 3 * 998))
+    for i in range(998):
+        m = inter_update_moments(v, S001, i)
+        for got, se, want in ((res.age[i], res.age_se[i], aoi_node(v, S001, i)),
+                              (res.throughput[i], res.throughput_se[i], per_node_throughput(v, S001, i)),
+                              (res.inter_update_mean[i], res.inter_update_mean_se[i], m.first)):
+            assert abs(got - want) <= z_bound * se, (i, got, want, se)
