@@ -31,13 +31,7 @@ import numpy as np
 from .analysis import verify_quasiconcavity
 from .equilibrium import enumerate_nash, single_network_optimum, solve_stackelberg
 from .game import GridSpec, build_surfaces, rescale_age, rescale_age_per_opponent
-from .metrics import (
-    _aoi_expr,
-    _throughput_expr,
-    aoi_node,
-    inter_update_moments,
-    per_node_throughput,
-)
+from .metrics import _age_and_moments, _aoi_expr, _throughput_expr, per_node_throughput
 from .model import DSRC, WIFI, AccessVector, NetworkConfig, StrategyPair, _Axis, _Cells
 from .simulate import NoProgressError, SimConfig, run_simulation
 
@@ -297,10 +291,7 @@ def _run_simulate(opt: _Options):
     fractions = tuple(res.slot_fractions())
     rows = []
     for i, (tau, tag) in enumerate(zip(vector.taus, vector.tags)):
-        age = ez = ez2 = None
-        if tau > 0.0:
-            moments = inter_update_moments(vector, lengths, i)
-            age, ez, ez2 = aoi_node(vector, lengths, i), moments.first, moments.second
+        age, ez, ez2 = _age_and_moments(vector, lengths, i) if tau > 0.0 else (None, None, None)
         rows.append((
             i, tag, tau,
             res.age[i], res.age_se[i], age,

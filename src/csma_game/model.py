@@ -2,10 +2,10 @@
 
 Every node transmits independently in each slot with its own access
 probability. A slot with no transmitter is idle, a slot with exactly one
-transmitter is a success, and a slot with two or more is a collision; each
-outcome has its own duration (Bianchi, IEEE JSAC 2000). These kernels are
-the building blocks for the throughput and age metrics and for the game
-layered on top.
+transmitter is a success, and a slot with two or more is a collision; idle
+slots last beta and the others 1 + beta (Bianchi, IEEE JSAC 2000). These
+kernels are the building blocks for the throughput and age metrics and for
+the game layered on top.
 
 Each slot probability has one formula here. ``_slot_kernels`` computes all
 of them for an arbitrary access vector in one pass; ``_Axis`` computes the
@@ -36,22 +36,21 @@ def _require_player(tag: str) -> None:
 
 @dataclass(frozen=True)
 class SlotLengths:
-    """Durations of the three slot outcomes."""
+    """Slot durations set by beta: idle slots last beta, success and collision slots 1 + beta."""
 
-    idle: float
-    success: float
-    collision: float
+    beta: float
 
     def __post_init__(self) -> None:
-        if not (self.idle > 0.0 and self.success > 0.0 and self.collision > 0.0):
-            raise ValueError("slot lengths must be strictly positive")
+        if not 0.0 < self.beta < 1.0:  # also rejects NaN
+            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+
+    idle = property(lambda self: self.beta)
+    success = collision = property(lambda self: 1.0 + self.beta)
 
     @classmethod
     def from_beta(cls, beta: float) -> "SlotLengths":
-        """Short idle slots of length beta, success/collision slots of 1 + beta."""
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {beta}")
-        return cls(idle=beta, success=1.0 + beta, collision=1.0 + beta)
+        """The same as ``SlotLengths(beta)``."""
+        return cls(beta)
 
 
 @dataclass(frozen=True)
@@ -155,9 +154,6 @@ class _SlotKernels(NamedTuple):
     success: float  # exactly one node transmits
     collision: float  # two or more nodes transmit
 
-    def mean_length(self, s: SlotLengths) -> float:
-        return s.idle * self.idle + s.success * self.success + s.collision * self.collision
-
 
 def _slot_kernels(taus: tuple[float, ...]) -> _SlotKernels:
     """Every slot probability of ``taus`` in one prefix/suffix pass.
@@ -204,3 +200,6 @@ class _Cells:
 
     busy = cached_property(lambda self: 1.0 - self.p_idle)
     mean_length = cached_property(lambda self: self.busy + self.beta)  # idle slots of beta, others of 1 + beta
+    # One given DSRC (WiFi) node alone transmits; a fresh array on each read, which the closed forms reuse.
+    succ_d = property(lambda self: self.d.solo * self.w.q)
+    succ_w = property(lambda self: self.w.solo * self.d.q)

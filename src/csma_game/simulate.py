@@ -70,9 +70,10 @@ class SimConfig:
 class SimResult:
     """Per-node empirical estimates with standard errors, plus slot counts.
 
-    Array fields are indexed by node. ``inter_update_*`` entries are NaN for
-    nodes without enough post-warmup updates. Slot counts cover the measured
-    (post-warmup) window and sum to ``slots_measured``.
+    Array fields are indexed by node. ``age`` entries are NaN for nodes
+    without a post-warmup update, ``inter_update_*`` ones for nodes without
+    enough of them. Slot counts cover the measured (post-warmup) window and
+    sum to ``slots_measured``.
     """
 
     throughput: np.ndarray = field(repr=False)
@@ -202,7 +203,7 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     idle, success = kinds[1:].sum(axis=0).tolist()
     return SimResult(
         *_batch_means(s.success * updates[:, 1:], batch_time),
-        *_batch_means(np.diff(edge_area, axis=1), batch_time),
+        *(np.where(measured, x, np.nan) for x in _batch_means(np.diff(edge_area, axis=1), batch_time)),
         *_mean_se(gaps[:, 0]), *_mean_se(gaps[:, 1]),  # Z, then Z^2
         update_counts=updates.sum(axis=1),
         slots_idle=idle, slots_success=success, slots_collision=horizon - warmup - idle - success,

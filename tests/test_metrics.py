@@ -1,7 +1,8 @@
 """Throughput and age metrics: both routes, hand values, pinned reference optima.
 
 The ratio-form moments below are a second derivation of the inter-update
-moments; they live here as an oracle for the library's composition form.
+moments, from the renewal cycle; they live here as the oracle of the
+library's closed forms, which the per-node route evaluates too.
 """
 
 import math
@@ -205,6 +206,9 @@ class TestClosedForms:
         assert per_node_throughput(v, S001, n_dsrc) == pytest.approx(thr, rel=1e-12)
         age = _aoi_expr(cells_at(pair, cfg))
         assert aoi_node(v, S001, 0) == pytest.approx(age, rel=1e-12)
+        # The renewal derivation: the DSRC node's age, and the WiFi node's E[Z] = sigma_S / throughput.
+        assert age == pytest.approx(ratio_form_moments(v.taus, S001, 0)[2], rel=1e-10)
+        assert ratio_form_moments(v.taus, S001, n_dsrc)[0] == pytest.approx(S001.success / thr, rel=1e-10)
 
 
 class TestShapeOfTheSurfaces:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cells import cells_at
 from csma_game.equilibrium import NashResult, enumerate_nash, single_network_optimum
 from csma_game.game import build_surfaces
 from csma_game.model import (
@@ -136,27 +137,18 @@ def test_brute_force_oracle_equivalence(taus):
 
 class TestExpectedSlotLength:
     def test_hand_value(self):
-        s = SlotLengths.from_beta(0.001)
+        cells = cells_at(StrategyPair(0.2, 0.0), NetworkConfig(3, 0, 0.001))
         # 0.001*0.512 + 1.001*0.384 + 1.001*0.104
-        assert vector(0.2, 0.2, 0.2)._kernels.mean_length(s) == pytest.approx(0.489, abs=1e-12)
-
-    def test_all_silent_gives_idle_length(self):
-        s = SlotLengths(idle=0.5, success=2.0, collision=3.0)
-        assert vector(0.0, 0.0)._kernels.mean_length(s) == pytest.approx(0.5)
-
-    @given(taus_lists)
-    def test_convex_combination_bounds(self, taus):
-        s = SlotLengths(idle=0.25, success=1.5, collision=2.5)
-        value = vector(*taus)._kernels.mean_length(s)
-        assert 0.25 - 1e-12 <= value <= 2.5 + 1e-12
+        assert cells.mean_length == pytest.approx(0.489, abs=1e-12)
 
 
 class TestDomainTypes:
-    def test_slot_lengths_positive(self):
-        with pytest.raises(ValueError):
-            SlotLengths(idle=0.0, success=1.0, collision=1.0)
-        with pytest.raises(ValueError):
-            SlotLengths(idle=0.1, success=-1.0, collision=1.0)
+    def test_slot_lengths_beta_range(self):
+        for beta in (0.0, 1.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="beta must lie in"):
+                SlotLengths(beta)
+        for beta in (1e-9, 0.001, 0.25, 0.999):
+            assert SlotLengths.from_beta(beta) == SlotLengths(beta)
 
     def test_from_beta_bounds(self):
         with pytest.raises(ValueError):

@@ -62,10 +62,11 @@ def dense_reference(v, s, cfg):
         reset_end = np.where(updates, time_end, 0.0)
         prev_reset = np.concatenate(([0.0], np.maximum.accumulate(reset_end)[:-1]))
         age_start = time_start - prev_reset + s.success
-        est["age"][i], est["age_se"][i] = batch_means(slot_len * (age_start + 0.5 * slot_len))
         est["throughput"][i], est["throughput_se"][i] = batch_means(np.where(updates, s.success, 0.0))
         upd_times = time_end[warmup:][updates[warmup:]]
         est["update_counts"][i] = upd_times.size
+        if upd_times.size:  # without a measured delivery, the age is a sawtooth that grows with the horizon
+            est["age"][i], est["age_se"][i] = batch_means(slot_len * (age_start + 0.5 * slot_len))
         if upd_times.size >= 2:
             z = np.diff(upd_times)
             est["inter_update_mean"][i] = z.mean()
@@ -174,8 +175,10 @@ def test_silent_node_reports_nan_moments():
     v = AccessVector((0.0, 0.5), (DSRC, WIFI))
     res = run_simulation(v, S001, SimConfig(horizon_slots=20_000, seed=2))
     assert np.isnan(res.inter_update_mean[0])
+    assert np.isnan(res.age[0]) and np.isnan(res.age_se[0])
     assert res.update_counts[0] == 0
     assert res.throughput[0] == 0.0
+    assert np.isfinite(res.age[1]) and np.isfinite(res.age_se[1])
 
 
 def test_homogeneous_vector_round_trip():
