@@ -54,7 +54,7 @@ def _cost_slope_parts(own, opp, config: NetworkConfig):
 def _age_slope_parts(c: _Cells):
     """The curvature and update-rate terms of d(age)/d tau_d."""
     beta, d, w = c.beta, c.d, c.w
-    alpha1 = 0.5 * beta * (1.0 + beta) * w.q * d.n * d.r1 / (1.0 + beta - c.p_idle) ** 2
+    alpha1 = 0.5 * beta * (1.0 + beta) * w.q * d.n * d.r1 / c.mean_length**2
     alpha2 = (1.0 + (1.0 + beta) * (d.n * d.tau - 1.0) / c.p_idle) / d.tau**2
     return alpha1, alpha2
 

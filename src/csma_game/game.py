@@ -22,9 +22,9 @@ from .model import NetworkConfig, _Axis, _Cells
 
 RescaleFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# Cells per row block of build_surfaces: 16 rows of a 999-point grid, so each
-# temporary of the closed forms (128 KiB) stays in cache. A 99-point grid is
-# one block.
+# Cells per row block: 16 rows of a 999-point grid. The closed forms' five buffers (128 KiB each), the
+# rescale maps' affine passes and both sweep passes work on one block while it is in cache, and the
+# sweep's second pass skips whole blocks. A 99-point grid is one block.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -59,12 +59,12 @@ class GridSpec:
 
 def _cost_expr(c, config: NetworkConfig, out=None):
     """Wastage cost on the shared factors ``c`` of a ``_Cells``, written into ``out`` if given."""
-    cost = np.multiply(config.w_idle, c.p_idle, out=out)
-    if config.w_col:  # with a zero weight the finite collision term adds +-0.0, which changes no bit
-        collided = c.busy - c.d.n * c.d.tau * c.d.r1 * c.w.q
-        collided -= c.w.n * c.w.tau * c.w.r1 * c.d.q
-        collided *= config.w_col
-        cost += collided
+    if not config.w_col:  # with a zero weight the finite collision term adds +-0.0, which changes no bit
+        return np.multiply(config.w_idle, c.p_idle, out=out)
+    cost = np.subtract(c.busy, np.multiply(c.d.n * c.d.tau * c.d.r1, c.w.q, out=c.spare), out=out)
+    cost -= np.multiply(c.w.n * c.w.tau * c.w.r1, c.d.q, out=c.spare)
+    cost *= config.w_col
+    cost += np.multiply(config.w_idle, c.p_idle, out=c.spare)  # no term is NaN, so the sum commutes bit for bit
     return cost
 
 
@@ -81,10 +81,12 @@ def rescale_age(age: np.ndarray, throughput: np.ndarray) -> np.ndarray:
     if age_hi == age_lo:
         return np.full_like(age, thr_lo)
     slope = (thr_hi - thr_lo) / (age_hi - age_lo)
-    out = np.subtract(age, age_lo)
-    if not slope <= 0.0:  # a slope <= 0 leaves a pure shift; a NaN one scales, to NaN
-        out *= slope
-    out += thr_lo
+    out = np.empty(age.shape)
+    for rows in _row_blocks(*age.shape):  # each block's three passes while it is in cache
+        block = np.subtract(age[rows], age_lo, out=out[rows])
+        if not slope <= 0.0:  # a slope <= 0 leaves a pure shift; a NaN one scales, to NaN
+            block *= slope
+        block += thr_lo
     return out
 
 
@@ -102,16 +104,18 @@ def rescale_age_per_opponent(age: np.ndarray, throughput: np.ndarray) -> np.ndar
     thr_lo, thr_hi = float(throughput.min()), float(throughput.max())
     lo = age.min(axis=0, keepdims=True)
     span = age.max(axis=0, keepdims=True) - lo
-    # Mapped in place on the one output array: the build holds no grid beyond its results.
-    out = np.subtract(age, lo)
-    if thr_hi == thr_lo:
-        out += thr_lo
-        return out
     flat = ~(span > 0.0)  # a constant column, or one whose span is NaN
-    out *= thr_hi - thr_lo
-    out /= np.where(flat, 1.0, span)
-    out += thr_lo
-    np.copyto(out, thr_lo, where=flat)
+    divisor = np.where(flat, 1.0, span)
+    # Mapped block by block on the one output array: the build holds no grid beyond its results.
+    out = np.empty(age.shape)
+    for rows in _row_blocks(*age.shape):
+        block = np.subtract(age[rows], lo, out=out[rows])
+        if thr_hi != thr_lo:
+            block *= thr_hi - thr_lo
+            block /= divisor
+        block += thr_lo
+        if thr_hi != thr_lo:
+            np.copyto(block, thr_lo, where=flat)
     return out
 
 
@@ -142,24 +146,34 @@ class PayoffSurfaces:
 
     @cached_property
     def _sweep(self) -> _Sweep:
-        """Pass 1 takes the DSRC column extremes, the WiFi mask rows and the DSRC leader's worst payoffs,
-        pass 2 the rest; every value is the one a whole-grid reduction gives."""
+        """Pass 1 takes the DSRC column extremes, the WiFi mask rows and the DSRC leader's worst payoffs, and notes
+        each tau_w column's first and last row block to reach its running maximum. Pass 2 recomputes payoffs only
+        in blocks inside some column's [first, last]: no other block holds a DSRC best response, so its mask rows
+        stay False and it adds nothing to the WiFi leader's worst payoffs. Every value is a whole-grid reduction's."""
         n_d, n_w = self.age.shape
-        br_dsrc, br_wifi = np.empty((n_d, n_w), bool), np.empty((n_d, n_w), bool)
+        br_dsrc, br_wifi = np.zeros((n_d, n_w), bool), np.empty((n_d, n_w), bool)
         top_d, bot_d = ext_d = np.full((2, n_w), [[-np.inf], [np.inf]])
         top_w, bot_w = ext_w = np.empty((2, n_d))
         worst_dsrc, worst_wifi = np.empty(n_d), np.full(n_w, np.inf)
         blocks = _row_blocks(n_d, n_w)
-        for rows in blocks:
+        first, last = np.zeros(n_w, np.intp), np.full(n_w, -1, np.intp)  # a NaN maximum ends a column's notes
+        for b, rows in enumerate(blocks):
             u_d, u_w = self._payoffs(lambda a: a[rows])
-            np.maximum(top_d, u_d.max(axis=0), out=top_d)
+            col_max = u_d.max(axis=0)
+            if len(blocks) > 1:  # one block needs no notes: pass 2 reuses its payoffs
+                np.putmask(first, col_max > top_d, b)
+                np.putmask(last, col_max >= top_d, b)
+            np.maximum(top_d, col_max, out=top_d)
             np.minimum(bot_d, u_d.min(axis=0), out=bot_d)
             u_w.max(axis=1, out=top_w[rows])
             u_w.min(axis=1, out=bot_w[rows])
             np.greater_equal(u_w, top_w[rows, None], out=br_wifi[rows])
             u_d.min(axis=1, where=br_wifi[rows], initial=np.inf, out=worst_dsrc[rows])
-        for rows in reversed(blocks):  # the last block's payoffs are still at hand
-            if rows is not blocks[-1]:
+        # A range opens at its first block and closes after its last; an all -inf column's spans every block.
+        edges = np.bincount(first, minlength=len(blocks) + 1) - np.bincount(last + 1, minlength=len(blocks) + 1)
+        for b in np.flatnonzero(np.cumsum(edges))[::-1] if len(blocks) > 1 else [0]:  # last first: still at hand
+            rows = blocks[b]
+            if b < len(blocks) - 1:
                 u_d, u_w = self._payoffs(lambda a: a[rows])
             np.greater_equal(u_d, top_d, out=br_dsrc[rows])
             np.minimum(worst_wifi, u_w.min(axis=0, where=br_dsrc[rows], initial=np.inf), out=worst_wifi)
@@ -207,11 +221,12 @@ def build_surfaces(
     """Evaluate all four surfaces on the grid.
 
     Age, throughput and cost are filled in blocks of at least one tau_d row
-    and at most ``_BLOCK_CELLS`` cells, so the closed forms' temporaries stay
-    small; they share each block's ``_Cells`` and write into the surfaces, and
-    every cell is the same as a whole-grid evaluation gives. ``rescale`` may
-    be swapped for any other strictly increasing affine map of the age
-    surface; with zero cost weights the equilibria do not depend on the choice.
+    and at most ``_BLOCK_CELLS`` cells. They share each block's ``_Cells``,
+    whose factors and temporaries go into block buffers allocated once per
+    build, and write into the surfaces; every cell is the same as a whole-grid
+    evaluation gives. ``rescale`` may be swapped for any other strictly
+    increasing affine map of the age surface; with zero cost weights the
+    equilibria do not depend on the choice.
     """
     if config.n_dsrc < 1 or config.n_wifi < 1:
         raise ValueError("the game needs at least one node in each network")
@@ -220,11 +235,14 @@ def build_surfaces(
     # Factors on a column (tau_d) and a row (tau_w); the surfaces are their outer products.
     w = _Axis(pts[None, :], config.n_wifi)
     age, throughput, cost = (np.empty((pts.size, pts.size)) for _ in range(3))
-    for rows in _row_blocks(pts.size, pts.size):
-        cells = _Cells(_Axis(pts[rows, None], config.n_dsrc), w, config.beta)
+    blocks = _row_blocks(pts.size, pts.size)
+    bufs = np.empty((5, pts[blocks[0]].size, pts.size))
+    for rows in blocks:
+        cells = _Cells(_Axis(pts[rows, None], config.n_dsrc), w, config.beta, bufs[:, : pts[rows].size])
         _aoi_expr(cells, out=age[rows])
         _throughput_expr(cells, out=throughput[rows])
         _cost_expr(cells, config, out=cost[rows])
+    del bufs, cells  # the build holds no more than its results while the map runs
     rescaled = (rescale if rescale is not None else rescale_age)(age, throughput)
     for arr in (age, throughput, cost, rescaled):
         arr.setflags(write=False)

@@ -7,8 +7,8 @@ slots last beta and the others 1 + beta (Bianchi, IEEE JSAC 2000). These
 kernels are the building blocks for the throughput and age metrics and for
 the game layered on top.
 
-Each slot probability has one formula here. ``_slot_kernels`` computes all
-of them for an arbitrary access vector in one pass; ``_Axis`` computes the
+Each slot probability has one formula here. ``_slot_kernels`` computes the
+idle and solo probabilities of any access vector in one pass; ``_Axis`` the
 ``(1-tau)^n`` contention factors of one homogeneous network once per
 strategy axis and ``_Cells`` the slot factors of a pair of axes; the closed
 forms, the payoff surfaces and the derivative terms combine those factors.
@@ -23,6 +23,8 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
+
+import numpy as np
 
 DSRC = "dsrc"
 WIFI = "wifi"
@@ -149,25 +151,19 @@ class _SlotKernels(NamedTuple):
     """Slot-outcome probabilities of one access vector."""
 
     idle: float  # nobody transmits
-    excl: tuple[float, ...]  # excl[i]: no node other than i transmits
     solo: tuple[float, ...]  # solo[i]: node i alone transmits
-    success: float  # exactly one node transmits
-    collision: float  # two or more nodes transmit
 
 
 def _slot_kernels(taus: tuple[float, ...]) -> _SlotKernels:
-    """Every slot probability of ``taus`` in one prefix/suffix pass.
+    """The idle and per-node solo probabilities of ``taus`` in one prefix/suffix pass.
 
-    excl[i] multiplies the (1 - tau) factors before node i by those after
-    it; there is no division, so tau = 1 entries are handled exactly.
+    solo[i] multiplies tau_i by the (1 - tau) factors before node i and those
+    after it; there is no division, so tau = 1 entries are handled exactly.
     """
     ones = [1.0 - tau for tau in taus]
     pref = list(accumulate(ones, mul, initial=1.0))
     suf = list(accumulate(reversed(ones), mul, initial=1.0))[::-1]
-    excl = tuple(map(mul, pref, suf[1:]))
-    solo = tuple(map(mul, taus, excl))
-    success = sum(solo)
-    return _SlotKernels(pref[-1], excl, solo, success, 1.0 - pref[-1] - success)
+    return _SlotKernels(pref[-1], tuple(map(mul, taus, map(mul, pref, suf[1:]))))
 
 
 class _Axis:
@@ -191,15 +187,17 @@ class _Axis:
 
 
 class _Cells:
-    """Slot factors of (tau_d, tau_w) cells from the DSRC and WiFi ``_Axis``
-    ``d`` and ``w``; a tau_d column and a tau_w row give a whole grid."""
+    """Slot factors of (tau_d, tau_w) cells from the DSRC and WiFi ``_Axis`` ``d`` and ``w``; a tau_d column and a
+    tau_w row give a whole grid. ``bufs``, five arrays of the cells' shape, take in order ``p_idle``, ``busy``,
+    ``mean_length``, each ``succ_d`` or ``succ_w`` read and ``spare``, the closed forms' temporary."""
 
-    def __init__(self, d: _Axis, w: _Axis, beta: float):
+    def __init__(self, d: _Axis, w: _Axis, beta: float, bufs=(None,) * 5):
         self.d, self.w, self.beta = d, w, beta
-        self.p_idle = d.q * w.q  # nobody transmits
+        p_idle, self._busy, self._length, self._succ, self.spare = bufs
+        self.p_idle = np.multiply(d.q, w.q, out=p_idle)  # nobody transmits
 
-    busy = cached_property(lambda self: 1.0 - self.p_idle)
-    mean_length = cached_property(lambda self: self.busy + self.beta)  # idle slots of beta, others of 1 + beta
-    # One given DSRC (WiFi) node alone transmits; a fresh array on each read, which the closed forms reuse.
-    succ_d = property(lambda self: self.d.solo * self.w.q)
-    succ_w = property(lambda self: self.w.solo * self.d.q)
+    busy = cached_property(lambda self: np.subtract(1.0, self.p_idle, out=self._busy))
+    mean_length = cached_property(lambda self: np.add(self.busy, self.beta, out=self._length))  # beta idle, 1+beta busy
+    # One given DSRC (WiFi) node alone transmits; a value of its own on each read, which the closed forms reuse.
+    succ_d = property(lambda self: np.multiply(self.d.solo, self.w.q, out=self._succ))
+    succ_w = property(lambda self: np.multiply(self.w.solo, self.d.q, out=self._succ))

@@ -205,7 +205,7 @@ def test_criterion_06_monte_carlo_validates_analytics():
     for ci, v in enumerate(MC_CONFIGS):
         res = run_simulation(v, S001, SimConfig(horizon_slots=1_000_000, seed=17 + ci))
         p_idle = v._kernels.idle
-        p_succ = v._kernels.success
+        p_succ = sum(v._kernels.solo)
         targets = (p_idle, p_succ, 1.0 - p_idle - p_succ)
         for frac, se, target, label in zip(
             res.slot_fractions(), slot_fraction_se(res), targets, ("idle", "success", "collision")

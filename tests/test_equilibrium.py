@@ -342,11 +342,11 @@ def solver_outputs(surf):
 
 class TestRowBlockSweep:
     # The sweep's blocks: one row, 7 rows (a last block of 1 row on 99 points, 5 on 999),
-    # and the whole grid.
+    # and the whole grid. The 1x2 game's DSRC maxima all sit in the last row.
     @pytest.mark.parametrize("n_dsrc, n_wifi, costed, grid", [
-        (2, 5, False, None), (5, 5, True, None), (12, 4, False, FINE), (20, 20, True, FINE),
+        (2, 5, False, None), (5, 5, True, None), (1, 2, False, FINE), (12, 4, False, FINE), (20, 20, True, FINE),
         *((nd, nw, costed, None) for nd, nw, costed, _ in NON_FINITE_GAMES),
-    ], ids=["2x5", "5x5-costed", "12x4-fine", "20x20-costed-fine", *NON_FINITE_IDS])
+    ], ids=["2x5", "5x5-costed", "1x2-fine", "12x4-fine", "20x20-costed-fine", *NON_FINITE_IDS])
     def test_solver_outputs_do_not_depend_on_the_block_size(self, n_dsrc, n_wifi, costed, grid, monkeypatch):
         surf = any_game(n_dsrc, n_wifi, costed, grid)
         n = surf.grid.n_points
@@ -355,6 +355,29 @@ class TestRowBlockSweep:
             monkeypatch.setattr(game, "_BLOCK_CELLS", rows * n)
             outputs.append(solver_outputs(replace(surf)))  # a copy, whose sweep has not run
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_second_pass_visits_only_blocks_holding_a_dsrc_maximum(self, monkeypatch):
+        surf = any_game(1, 2, grid=FINE)
+        n_blocks = len(game._row_blocks(*surf.age.shape))
+        calls = []
+        payoffs = PayoffSurfaces._payoffs
+
+        def counted(self, pick):
+            calls.append(pick)
+            return payoffs(self, pick)
+
+        monkeypatch.setattr(PayoffSurfaces, "_payoffs", counted)
+        surf._sweep
+        u_d, _ = payoff_grids(surf)
+        max_rows = np.flatnonzero(tie_mask(u_d, 0, 0.0).any(axis=1))
+        holding = set((max_rows // -(-surf.grid.n_points // n_blocks)).tolist())
+        assert (n_blocks, holding, max_rows.tolist()) == (63, {62}, [998])
+        # Pass 1 computes each block's payoffs once; pass 2 recomputes them in at most the blocks holding a
+        # column maximum, less the last block, whose payoffs are still at hand: none here.
+        second_pass = len(calls) - n_blocks
+        assert second_pass <= len(holding - {n_blocks - 1})
+        assert second_pass == 0
+        assert np.array_equal(surf._br_dsrc, tie_mask(u_d, 0, 0.0))
 
     def test_solver_peak_memory_is_the_two_masks(self):
         # Payoff grids held beside the masks would add two 999x999 float grids, 16 MB.

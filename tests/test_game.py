@@ -90,7 +90,7 @@ class TestWastageCost:
         cfg = NetworkConfig(n_dsrc, n_wifi, 0.001, w_idle=w_idle, w_col=w_col)
         v = AccessVector.homogeneous(cfg, StrategyPair(tau_d, tau_w))
         p_idle = v._kernels.idle
-        p_succ = v._kernels.success
+        p_succ = sum(v._kernels.solo)
         expected = w_idle * p_idle + w_col * (1.0 - p_idle - p_succ)
         assert _cost_expr(cells_at(StrategyPair(tau_d, tau_w), cfg), cfg) == pytest.approx(expected, abs=1e-12)
 

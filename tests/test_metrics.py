@@ -38,7 +38,8 @@ def residual_pmf(taus, i):
     """P(idle), P(another node's success), P(collision) given node i does not update."""
     k = _slot_kernels(tuple(taus))
     fail = 1.0 - k.solo[i]
-    return k.idle / fail, (k.success - k.solo[i]) / fail, k.collision / fail
+    success = sum(k.solo)
+    return k.idle / fail, (success - k.solo[i]) / fail, (1.0 - k.idle - success) / fail
 
 
 def ratio_form_moments(taus, s, i):
@@ -51,15 +52,16 @@ def ratio_form_moments(taus, s, i):
     """
     k = _slot_kernels(tuple(taus))
     p = k.solo[i]
-    p_other = k.success - p
-    cycle = s.idle * k.idle + s.success * (p_other + p) + s.collision * k.collision
-    cycle_sq = s.idle**2 * k.idle + s.success**2 * (p_other + p) + s.collision**2 * k.collision
+    p_other = sum(k.solo) - p
+    collision = 1.0 - k.idle - sum(k.solo)
+    cycle = s.idle * k.idle + s.success * (p_other + p) + s.collision * collision
+    cycle_sq = s.idle**2 * k.idle + s.success**2 * (p_other + p) + s.collision**2 * collision
     ez = cycle / p
     ez2 = (
         2.0 * ez**2
         + s.success**2
         - 2.0 * s.success * ez
-        + (s.idle**2 * k.idle + s.success**2 * p_other + s.collision**2 * k.collision) / p
+        + (s.idle**2 * k.idle + s.success**2 * p_other + s.collision**2 * collision) / p
     )
     return ez, ez2, cycle / p + cycle_sq / (2.0 * cycle)
 

@@ -75,17 +75,18 @@ class TestJointIdleProb:
 
 
 class TestIdleProbExcluding:
+    # No node other than i transmits: solo[i] / tau_i, or the idle probability times tau_i / (1 - tau_i).
     def test_single_node_empty_product(self):
-        assert kernels(0.7).excl == (1.0,)
+        assert kernels(0.7).solo[0] / 0.7 == 1.0
 
     def test_hand_value(self):
-        assert kernels(0.2, 0.2, 0.2).excl[0] == pytest.approx(0.64, abs=1e-15)
+        assert kernels(0.2, 0.2, 0.2).solo[0] / 0.2 == pytest.approx(0.64, abs=1e-15)
 
     @given(taus_lists)
     def test_factorization_identity(self, taus):
         k = kernels(*taus)
         for i in range(len(taus)):
-            assert abs(k.idle - (1.0 - taus[i]) * k.excl[i]) <= 1e-14
+            assert abs(taus[i] * k.idle - (1.0 - taus[i]) * k.solo[i]) <= 1e-14
 
 
 class TestSuccessProbs:
@@ -99,10 +100,10 @@ class TestSuccessProbs:
         assert kernels(0.7).solo[0] == pytest.approx(0.7)
 
     def test_total_hand_value(self):
-        assert vector(0.2, 0.2, 0.2)._kernels.success == pytest.approx(0.384, abs=1e-15)
+        assert sum(vector(0.2, 0.2, 0.2)._kernels.solo) == pytest.approx(0.384, abs=1e-15)
 
     def test_total_all_silent(self):
-        assert vector(0.0, 0.0)._kernels.success == 0.0
+        assert sum(vector(0.0, 0.0)._kernels.solo) == 0.0
 
     @given(taus_lists)
     def test_success_splits_into_node_and_rest(self, taus):
@@ -110,13 +111,13 @@ class TestSuccessProbs:
         k = kernels(*taus)
         for i in range(len(taus)):
             rest = sum(p for j, p in enumerate(k.solo) if j != i)
-            assert abs((k.success - k.solo[i]) - rest) <= 1e-14
+            assert abs((sum(k.solo) - k.solo[i]) - rest) <= 1e-14
 
     @given(taus_lists)
     def test_disjoint_event_bounds(self, taus):
         v = vector(*taus)
         p_idle = v._kernels.idle
-        p_succ = v._kernels.success
+        p_succ = sum(v._kernels.solo)
         assert 0.0 <= p_succ <= 1.0
         assert p_idle + p_succ <= 1.0 + 1e-14
 
@@ -127,12 +128,12 @@ def test_brute_force_oracle_equivalence(taus):
     p_idle, p_succ, p_excl = brute_force_probs(taus)
     assert abs(k.idle - p_idle) <= 1e-12
     assert abs(vector(*taus)._kernels.idle - p_idle) <= 1e-12
-    assert abs(vector(*taus)._kernels.success - sum(p_succ)) <= 1e-12
-    assert abs(k.collision - (1.0 - p_idle - sum(p_succ))) <= 1e-12
+    assert abs(sum(vector(*taus)._kernels.solo) - sum(p_succ)) <= 1e-12
+    assert abs((1.0 - k.idle - sum(k.solo)) - (1.0 - p_idle - sum(p_succ))) <= 1e-12
     for i in range(len(taus)):
         assert abs(k.solo[i] - p_succ[i]) <= 1e-12
-        assert abs(k.excl[i] - p_excl[i]) <= 1e-12
-        assert abs((k.success - k.solo[i]) - (sum(p_succ) - p_succ[i])) <= 1e-12
+        assert abs(k.solo[i] - taus[i] * p_excl[i]) <= 1e-12
+        assert abs((sum(k.solo) - k.solo[i]) - (sum(p_succ) - p_succ[i])) <= 1e-12
 
 
 class TestExpectedSlotLength:

@@ -145,7 +145,7 @@ def test_slot_type_frequencies_match_kernels():
     v = AccessVector((0.25, 0.4, 0.1), (DSRC, WIFI, WIFI))
     res = run_simulation(v, S001, SimConfig(horizon_slots=300_000, seed=21))
     p_idle = v._kernels.idle
-    p_succ = v._kernels.success
+    p_succ = sum(v._kernels.solo)
     targets = (p_idle, p_succ, 1.0 - p_idle - p_succ)
     for frac, se, target in zip(res.slot_fractions(), slot_fraction_se(res), targets):
         assert abs(frac - target) <= 3.0 * se
