@@ -5,21 +5,23 @@ IEEE JSAC 2000), so node i's transmit slots have geometric gaps
 ``1 + floor(E / -log(1 - tau))``, E ~ Exp(1), drawn from its own stream
 ``SeedSequence(seed).spawn(n)[i]`` in blocks of running sums; the rest of a
 block carries over, so no block or chunk size changes the realisation. One
-pass covers the warm-up, then each batch, in chunks: the nodes due in a
-chunk give the slices of their blocks in it, and one bincount counts each
-slot's transmitters. A chunk costs its slots plus its transmissions, not
-slots x nodes; memory is one chunk, a block per node and per-node x
-per-batch state, whatever the horizon.
+pass covers the warm-up, then the measured window, in chunks: the nodes due
+in a chunk give the slices of their blocks in it, and one bincount counts
+each slot's transmitters. A chunk costs its slots plus its transmissions, not
+slots x nodes; memory is one chunk, a block per node and per-node state,
+whatever the horizon.
 
 Age grows at unit rate and drops to the success-slot length at each of the
 node's deliveries (slots it alone transmits in; time 0 counts as one), so a
-gap Z between deliveries adds ``s_S*Z + Z^2/2`` (Kaul, Yates & Gruteser,
+gap Z between deliveries adds ``A = s_S*Z + Z^2/2`` (Kaul, Yates & Gruteser,
 INFOCOM 2012). A chunk's deliveries come out as one run per node in slot
-order, so area, update count and latest delivery are reductions over runs,
-and Z and Z^2 join their moments by one Chan, Golub & LeVeque (1979) update.
-Estimates cover the post-warmup window only. Age and throughput standard
-errors come from batch means, as age samples are autocorrelated; the iid
-inter-update times use plain sample standard errors.
+order, so area and latest delivery are reductions over runs, and Z and Z^2
+join their moments and co-moment by one Chan, Golub & LeVeque (1979) update.
+Estimates cover the post-warmup window only. Slots are iid, so a node's
+deliveries are renewal epochs and its measured cycles (Z, A) are iid pairs:
+standard errors are those of the sample means of Z and Z^2 and, by the delta
+method, of the regenerative ratios throughput = s_S / E[Z] and
+age = E[A] / E[Z] (Crane & Iglehart 1975).
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ import numpy as np
 
 from .model import AccessVector, SlotLengths
 
-_N_BATCHES = 100
 # Memory of a chunk in 8-byte words: 3 a slot (count, end, slack) and 8 a
 # transmission (its slot in the block and in the chunk, its count and 40 bytes
 # of delivery temporaries): a chunk holds _CHUNK // (3 + 8 sum(tau)) slots.
-_CHUNK = 1 << 20
+# 1 MiB: 1 << 20 ran no faster at n <= 10 and raised the process's peak RSS.
+_CHUNK = 1 << 17
 _SLOT_WORDS, _TX_WORDS = 3, 8
 
 
@@ -72,8 +74,11 @@ class SimResult:
 
     Array fields are indexed by node. ``age`` entries are NaN for nodes
     without a post-warmup update, ``inter_update_*`` ones for nodes without
-    enough of them. Slot counts cover the measured (post-warmup) window and
-    sum to ``slots_measured``.
+    enough of them. A node's measured cycles, the gaps between its
+    post-warmup updates, number one less than its ``update_counts``. Every
+    ``*_se`` is NaN below 2 cycles; below about 100 the interval it gives is
+    skewed and uncalibrated, as the cycle reward Z^2/2 is. Slot counts cover
+    the measured (post-warmup) window and sum to ``slots_measured``.
     """
 
     throughput: np.ndarray = field(repr=False)
@@ -96,28 +101,23 @@ class SimResult:
         return counts / self.slots_measured
 
 
-def _batch_means(batch_sums: np.ndarray, batch_time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node time averages over the batches (columns) and their batch-means standard errors."""
-    b = batch_time.size
-    se = (batch_sums / batch_time).std(axis=1, ddof=1) if b > 1 else np.full(len(batch_sums), np.nan)
-    return batch_sums.sum(axis=1) / batch_time.sum(), se / np.sqrt(b)
-
-
 def _merge_runs(stats: np.ndarray, node: np.ndarray, starts: np.ndarray, size: np.ndarray,
                 x: np.ndarray, skip: np.ndarray) -> None:
-    """Merge runs of samples into per-node (count, mean, sum of squared deviations)
-    stats of shape (3, q, n), as Chan, Golub & LeVeque (1979) do. The ``size[j]``
-    columns of x, (q, m), from ``starts[j]`` on are samples of node ``node[j]``,
-    but for the first where ``skip[j]``. x is overwritten."""
+    """Merge runs of samples of two variables into per-node (count, mean, sum of
+    squared deviations, sum of cross deviations) stats of shape (4, 2, n), as
+    Chan, Golub & LeVeque (1979) do. The ``size[j]`` columns of x, (2, m), from
+    ``starts[j]`` on are samples of node ``node[j]``, but for the first where
+    ``skip[j]``. x is overwritten."""
     k, lost = size - skip, starts[skip]
     x[:, lost] = 0.0
     k_mean = np.add.reduceat(x, starts, axis=1) / np.maximum(k, 1)
     x -= np.repeat(k_mean, size, axis=1)
     x[:, lost] = 0.0
-    count, mean, m2 = stats[..., node]
+    count, mean, m2, co = stats[..., node]
     delta, share = k_mean - mean, k / np.maximum(count + k, 1)  # a run with no sample adds nothing
+    co += np.add.reduceat(x[0] * x[1], starts) + delta[0] * delta[1] * count[0] * share[0]
     m2 += np.add.reduceat(np.square(x, out=x), starts, axis=1) + delta * delta * count * share
-    stats[..., node] = count + k, mean + delta * share, m2
+    stats[..., node] = count + k, mean + delta * share, m2, co
 
 
 def _mean_se(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,17 +136,12 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     scale = np.divide(-1.0, log_q, out=np.full(n, np.inf), where=log_q < -64 / np.finfo(float).max)
     streams = [np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(n)]
     slot_length = np.array([s.idle, s.success, s.collision])  # by transmitter count 0, 1, 2+
-    b = min(_N_BATCHES, horizon - warmup)  # segment 0 is the warm-up, 1 to b the batches
-    bounds = np.append(0, warmup + (np.arange(b + 1) * (horizon - warmup)) // b)
     chunk = max(1, int(_CHUNK // (_SLOT_WORDS + _TX_WORDS * taus.sum())))  # slots, or a segment's rest
     block = np.maximum(256, np.ceil(taus * min(chunk, horizon))).astype(int).tolist()  # gaps a draw
-    kinds = np.zeros((b + 1, 2), dtype=np.int64)  # idle and success slots; the rest collide
-    updates = np.zeros((n, b + 1), dtype=np.int64)
-    edge_time = np.empty(b + 1)  # the clock at each segment's end
-    edge_area = np.empty((n, b + 1))  # each node's age integral up to there
+    kinds = np.zeros((2, 2), dtype=np.int64)  # idle and success slots of the warm-up and the window
     last, area = np.zeros((2, n))  # latest delivery (time 0 counts as one), age integral up to it
     measured = np.zeros(n, dtype=bool)  # `last` lies after the warm-up
-    gaps = np.zeros((3, 2, n))  # count, mean and squared deviations of Z and of Z^2
+    gaps = np.zeros((4, 2, n))  # count, mean, squared and cross deviations of Z and of Z^2
 
     def draw(i: int, after: int) -> np.ndarray:
         """Node i's next transmit slots after `after`; gaps cut at horizon + 1 keep them in int64."""
@@ -184,28 +179,30 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
         x = np.array((z, z * z))
         area[node] += np.add.reduceat(s.success * z + 0.5 * x[1], starts)
         if seg:
-            updates[node, seg] += size
             _merge_runs(gaps, node, starts, size, x, ~measured[node])
             measured[node] = True
         return clock
 
-    none, clock = np.empty(0, np.int64), 0.0
-    for seg in range(b + 1):
-        for first in range(bounds[seg], bounds[seg + 1], chunk):
-            clock = add_chunk(first, min(first + chunk, bounds[seg + 1]), seg, clock)
-        edge_time[seg] = clock
+    none, clock, edges = np.empty(0, np.int64), 0.0, []
+    for seg, (lo, hi) in enumerate(((0, warmup), (warmup, horizon))):  # the warm-up, then the window
+        for first in range(lo, hi, chunk):
+            clock = add_chunk(first, min(first + chunk, hi), seg, clock)
         since = clock - last
-        edge_area[:, seg] = area + s.success * since + 0.5 * since * since
+        edges.append((clock, area + s.success * since + 0.5 * since * since))  # each node's age integral
 
     if not kinds[:, 1].any():
         raise NoProgressError("no successful slot in the whole horizon; all access probabilities zero?")
-    batch_time = np.diff(edge_time)
-    idle, success = kinds[1:].sum(axis=0).tolist()
+    (start, area_start), (end, area_end) = edges
+    window, (idle, success) = end - start, kinds[1].tolist()
+    updates = gaps[0, 0].astype(np.int64) + measured  # a node's first measured update ends no cycle
+    (ez, ez_se), (ez2, ez2_se) = _mean_se(gaps[:3, 0]), _mean_se(gaps[:3, 1])
+    half = 0.5 * ez2 / ez  # age = s_S + half, so a cycle's A - age * Z is Z^2/2 - half * Z
+    cov = gaps[3, 0] / np.maximum(gaps[0, 0] * (gaps[0, 0] - 1), 1)  # of the means of Z and Z^2
+    var = 0.25 * ez2_se**2 - half * cov + half * half * ez_se**2  # of the mean of Z^2/2 - half * Z
     return SimResult(
-        *_batch_means(s.success * updates[:, 1:], batch_time),
-        *(np.where(measured, x, np.nan) for x in _batch_means(np.diff(edge_area, axis=1), batch_time)),
-        *_mean_se(gaps[:, 0]), *_mean_se(gaps[:, 1]),  # Z, then Z^2
-        update_counts=updates.sum(axis=1),
+        s.success * updates / window, s.success * ez_se / (ez * ez),
+        np.where(measured, (area_end - area_start) / window, np.nan), np.sqrt(var) / ez,
+        ez, ez_se, ez2, ez2_se, update_counts=updates,
         slots_idle=idle, slots_success=success, slots_collision=horizon - warmup - idle - success,
-        slots_measured=horizon - warmup, time_measured=float(batch_time.sum()),
+        slots_measured=horizon - warmup, time_measured=float(window),
     )
