@@ -33,12 +33,13 @@ import numpy as np
 
 from .model import AccessVector, SlotLengths
 
-# Memory of a chunk in 8-byte words: 3 a slot (count, end, slack) and 8 a
-# transmission (its slot in the block and in the chunk, its count and 40 bytes
-# of delivery temporaries): a chunk holds _CHUNK // (3 + 8 sum(tau)) slots.
-# 1 MiB: 1 << 20 ran no faster at n <= 10 and raised the process's peak RSS.
+# Memory of a chunk in 8-byte words: 3 a slot (count, end, slack) and 9 a
+# transmission (2 in its node's block, which holds two chunks' gaps so that a
+# node draws about every other chunk, its slot in the chunk, its count and 40
+# bytes of delivery temporaries): a chunk holds _CHUNK // (3 + 9 sum(tau))
+# slots. 1 MiB: 1 << 20 ran no faster at n <= 10 and raised the peak RSS.
 _CHUNK = 1 << 17
-_SLOT_WORDS, _TX_WORDS = 3, 8
+_SLOT_WORDS, _TX_WORDS = 3, 9
 
 
 class NoProgressError(RuntimeError):
@@ -104,10 +105,10 @@ class SimResult:
 def _merge_runs(stats: np.ndarray, node: np.ndarray, starts: np.ndarray, size: np.ndarray,
                 x: np.ndarray, skip: np.ndarray) -> None:
     """Merge runs of samples of two variables into per-node (count, mean, sum of
-    squared deviations, sum of cross deviations) stats of shape (4, 2, n), as
-    Chan, Golub & LeVeque (1979) do. The ``size[j]`` columns of x, (2, m), from
-    ``starts[j]`` on are samples of node ``node[j]``, but for the first where
-    ``skip[j]``. x is overwritten."""
+    squared deviations, sum of cross deviations, the same for both) stats of
+    shape (4, 2, n), as Chan, Golub & LeVeque (1979) do. The ``size[j]``
+    columns of x, (2, m), from ``starts[j]`` on are samples of node
+    ``node[j]``, but for the first where ``skip[j]``. x is overwritten."""
     k, lost = size - skip, starts[skip]
     x[:, lost] = 0.0
     k_mean = np.add.reduceat(x, starts, axis=1) / np.maximum(k, 1)
@@ -137,7 +138,7 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     streams = [np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(n)]
     slot_length = np.array([s.idle, s.success, s.collision])  # by transmitter count 0, 1, 2+
     chunk = max(1, int(_CHUNK // (_SLOT_WORDS + _TX_WORDS * taus.sum())))  # slots, or a segment's rest
-    block = np.maximum(256, np.ceil(taus * min(chunk, horizon))).astype(int).tolist()  # gaps a draw
+    block = np.maximum(256, np.ceil(taus * min(2 * chunk, horizon))).astype(int).tolist()  # gaps a draw
     kinds = np.zeros((2, 2), dtype=np.int64)  # idle and success slots of the warm-up and the window
     last, area = np.zeros((2, n))  # latest delivery (time 0 counts as one), age integral up to it
     measured = np.zeros(n, dtype=bool)  # `last` lies after the warm-up

@@ -279,7 +279,7 @@ def tracemalloc_peak(v, horizon):
 
 
 def test_memory_does_not_grow_with_the_horizon(monkeypatch):
-    # 1 489-slot chunks: both horizons span many, and only one is held at a time
+    # 1 365-slot chunks: both horizons span many, and only one is held at a time
     monkeypatch.setattr(simulate, "_CHUNK", 1 << 14)
     v = AccessVector((0.1,) * 10, (DSRC,) * 5 + (WIFI,) * 5)
     run_simulation(v, S001, SimConfig(horizon_slots=1_000, seed=5))  # first-call allocations
@@ -290,9 +290,9 @@ def test_memory_does_not_grow_with_the_horizon(monkeypatch):
 @pytest.mark.parametrize("tau", [0.01, 1.0])
 def test_one_node_chunk_stays_within_its_budget(tau):
     # A chunk takes about 17 bytes a slot and, at tau = 1, where every slot is
-    # a delivery, 56 (64 in the window, where the gaps are merged). A
-    # 1.05M-slot warm-up spans many chunks; a chunk of _CHUNK slots would peak
-    # at 2.2-7 MiB.
+    # a delivery, about 80 with its share of the node's block. A 1.05M-slot
+    # warm-up spans many chunks; a chunk of _CHUNK slots would peak at
+    # 2.1-10 MiB.
     v = AccessVector((tau,), (DSRC,))
     run_simulation(v, S001, SimConfig(horizon_slots=1_000, seed=5))  # first-call allocations
     tracemalloc.start()
