@@ -34,10 +34,11 @@ import numpy as np
 from .model import AccessVector, SlotLengths
 
 # Memory of a chunk in 8-byte words: 3 a slot (count, end, slack) and 9 a
-# transmission (2 in its node's block, which holds two chunks' gaps so that a
-# node draws about every other chunk, its slot in the chunk, its count and 40
-# bytes of delivery temporaries): a chunk holds _CHUNK // (3 + 9 sum(tau))
-# slots. 1 MiB: 1 << 20 ran no faster at n <= 10 and raised the peak RSS.
+# transmission (2 in its node's block, which holds two chunks' gaps, its slot
+# in the chunk, its count and 40 bytes of delivery temporaries). A chunk gets
+# _CHUNK words per whole 128 nodes, at least once: about twice what the
+# nodes' generators and least blocks hold, so the per-node loop stays small
+# beside it. 1 MiB: 1 << 20 ran no faster at n <= 10 and raised the peak RSS.
 _CHUNK = 1 << 17
 _SLOT_WORDS, _TX_WORDS = 3, 9
 
@@ -137,7 +138,7 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     scale = np.divide(-1.0, log_q, out=np.full(n, np.inf), where=log_q < -64 / np.finfo(float).max)
     streams = [np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(n)]
     slot_length = np.array([s.idle, s.success, s.collision])  # by transmitter count 0, 1, 2+
-    chunk = max(1, int(_CHUNK // (_SLOT_WORDS + _TX_WORDS * taus.sum())))  # slots, or a segment's rest
+    chunk = max(1, int(_CHUNK * max(1, n // 128) // (_SLOT_WORDS + _TX_WORDS * taus.sum())))  # slots
     block = np.maximum(256, np.ceil(taus * min(2 * chunk, horizon))).astype(int).tolist()  # gaps a draw
     kinds = np.zeros((2, 2), dtype=np.int64)  # idle and success slots of the warm-up and the window
     last, area = np.zeros((2, n))  # latest delivery (time 0 counts as one), age integral up to it
