@@ -1,15 +1,16 @@
 """Closed-form payoff derivatives and a numerical unimodality verifier.
 
-Each player's negated payoff has a closed-form derivative in its own
-strategy that splits into named terms: a curvature term from the busy-slot
-ratio, a dominant term from the update rate (age side only), and the cost
-contributions of collisions and idling. ``verify_quasiconcavity`` scans
-the derivative at the multiples of a step along one strategy axis, against
-many opponent values at once, and checks the sign pattern of a unimodal
-payoff: non-positive then non-negative, with at most one sign change. A
-DSRC report also carries two landmarks: the opponent-free bound on where
-the curvature term's denominator reaches one, and the update-rate term's
-root. All terms combine the per-axis contention factors of
+Each player's negated payoff has a closed-form derivative in its own strategy
+that splits into named terms: a curvature term from the busy-slot ratio, a
+dominant term from the update rate (age side only), and the cost
+contributions of collisions and idling. ``verify_quasiconcavity`` scans the
+derivative at the multiples of a step along one strategy axis, against many
+opponent values at once, and checks the sign pattern of a unimodal payoff:
+non-positive then non-negative, with at most one sign change; exact zeros
+take no part. Both players' scans fail where the opponent's (1-tau)^n
+underflows to 0. A DSRC report also carries two landmarks: the opponent-free
+bound on where the curvature term's denominator reaches one, and the
+update-rate term's root. All terms combine the per-axis contention factors of
 :mod:`~csma_game.model`; the cost terms of both players share one formula.
 """
 
@@ -25,7 +26,6 @@ from .model import DSRC, NetworkConfig, _Axis, _Cells, _require_player
 # Scan points closer than this to 0 or 1 are dropped: the 1/tau^2 term
 # swamps double precision in the last few ulps of the interval.
 _EDGE_MARGIN = 1e-4
-_ZERO_BRIDGE = 1e-12
 _NEWTON_STEPS = 50
 _NEWTON_TOL = 1e-12
 
@@ -43,9 +43,8 @@ class QuasiConcavityReport:
 
 def _cost_slope_parts(own, opp, config: NetworkConfig):
     """Collision and idle terms of d(cost)/d(own tau)."""
-    opp_prime = opp.n * opp.tau * opp.r1  # the opponent's one-sender probability
     alpha_col = config.w_col * (
-        opp.q * own.n * (own.n - 1) * own.tau * own.r2 + opp_prime * own.n * own.r1
+        opp.q * own.n * (own.n - 1) * own.tau * own.r2 + opp.one_sender * own.n * own.r1
     )
     alpha_idle = config.w_idle * opp.q * own.n * own.r1
     return alpha_col, alpha_idle
@@ -94,32 +93,20 @@ def _alpha2_root(n_d: int, beta: float, q_w: np.ndarray) -> np.ndarray:
     return t
 
 
-def _effective_signs(values: np.ndarray) -> np.ndarray:
-    """Signs with near-zero entries bridged to the nearest decisive neighbor."""
-    signs = np.sign(values)
-    decisive = np.flatnonzero(np.abs(values) >= _ZERO_BRIDGE)
-    if decisive.size == 0:
-        return np.zeros_like(signs)
-    bridged = np.flatnonzero(np.abs(values) < _ZERO_BRIDGE)
-    pos = np.searchsorted(decisive, bridged)
-    left = decisive[np.clip(pos - 1, 0, decisive.size - 1)]
-    right = decisive[np.clip(pos, 0, decisive.size - 1)]
-    signs[bridged] = signs[np.where(bridged - left <= right - bridged, left, right)]  # the nearest decisive entry
-    return signs
-
-
 def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, step: float = 0.001):
     """Scan the negated-payoff derivative along one axis and check unimodality.
 
     A payoff that rises then falls in the player's own strategy makes the
     scanned derivative non-positive then non-negative, so at most one sign
-    change is allowed and it must run negative to positive. ``opponents`` is
-    a sequence of opponent strategies, scanned at the multiples of ``step``
-    in (0, 1) as one array; the reports come back as a tuple in its order.
-    Raises ValueError for a scanned network with no nodes, a value outside
-    [0, 1), a step not positive and finite or fewer than two scan points,
-    and FloatingPointError when a DSRC scan's (1-tau)^n_w, which locates the
-    update-rate root, underflows to 0: the first bad value raises its error.
+    change among its nonzero entries is allowed (exact zeros and NaN take no
+    part), and it must run negative to positive. ``opponents`` is a sequence
+    of opponent strategies, scanned at the multiples of ``step`` in (0, 1) as
+    one array; the reports come back as a tuple in its order. Raises
+    ValueError for a scanned network with no nodes, a value outside [0, 1), a
+    step not positive and finite or fewer than two scan points, and
+    FloatingPointError when the opponent's (1-tau)^n, a factor or divisor of
+    every entry of either player's scan, underflows to 0: the first bad
+    value raises its error.
     """
     _require_player(player)
     dsrc = player == DSRC
@@ -130,10 +117,9 @@ def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, step: f
     in_range = (0.0 <= values) & (values < 1.0)  # False for NaN
     n_ok = values.size if in_range.all() else int(in_range.argmin())
     opp = _Axis(values[:n_ok, None], opp_n)  # the values before the first one out of range, as a column
-    if dsrc and not opp.q.all():  # checked first: the terms divide by it
+    if not opp.q.all():  # checked first: the DSRC terms divide by it, the WiFi ones are multiples of it
         tau = float(values[opp.q.argmin()])  # the first zero, as no q is negative
-        raise FloatingPointError(f"(1-{tau})^{opp_n} underflows to 0, so the update-rate root "
-                                 "cannot be located for this opponent strategy")
+        raise FloatingPointError(f"(1-{tau})^{opp_n} underflows to 0, so the scanned slope's signs cannot be read")
     if n_ok < values.size:
         raise ValueError("fixed opponent strategy must lie in [0, 1)")
     if not (0.0 < step < math.inf and 1.0 / step < math.inf):  # also rejects NaN, and a step too small to count
@@ -145,7 +131,8 @@ def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, step: f
                          "too few to show a sign change")
     own = _Axis(pts, own_n)
     if dsrc:
-        totals = np.add(*_age_slope_parts(_Cells(own, opp, config.beta)))
+        with np.errstate(divide="ignore", over="ignore"):  # the own (1-tau_d)^n_d underflows: a +inf rate term
+            totals = np.add(*_age_slope_parts(_Cells(own, opp, config.beta)))
         bound, roots = _tau_prime_bound(config.beta, own_n), _alpha2_root(own_n, config.beta, opp.q[:, 0]).tolist()
     else:
         totals, bound, roots = _wifi_slope(_Cells(opp, own, config.beta)), None, [None] * values.size
@@ -153,8 +140,9 @@ def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, step: f
         a_col, a_idle = _cost_slope_parts(own, opp, config)
         totals = totals + a_col - a_idle
     signs = np.sign(totals)
-    for r in np.flatnonzero(~(np.abs(totals) >= _ZERO_BRIDGE).all(axis=1)):  # near-zero or NaN entries
-        signs[r] = _effective_signs(totals[r])
-    changes = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1).tolist()
+    changes, rows = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1).tolist(), list(signs)
+    for r in np.flatnonzero(~(np.abs(totals) > 0.0).all(axis=1)):  # its exact zeros and NaN take no part
+        rows[r] = s = signs[r][np.abs(totals[r]) > 0.0]
+        changes[r] = np.count_nonzero(s[1:] != s[:-1])
     return tuple(QuasiConcavityReport(tau, n, n == 0 or (n == 1 and bool(s[0] < 0 < s[-1])), bound, root)
-                 for tau, n, s, root in zip(values.tolist(), changes, signs, roots))
+                 for tau, n, s, root in zip(values.tolist(), changes, rows, roots))

@@ -61,8 +61,8 @@ def _cost_expr(c, config: NetworkConfig, out=None):
     """Wastage cost on the shared factors ``c`` of a ``_Cells``, written into ``out`` if given."""
     if not config.w_col:  # with a zero weight the finite collision term adds +-0.0, which changes no bit
         return np.multiply(config.w_idle, c.p_idle, out=out)
-    cost = np.subtract(c.busy, np.multiply(c.d.n * c.d.tau * c.d.r1, c.w.q, out=c.spare), out=out)
-    cost -= np.multiply(c.w.n * c.w.tau * c.w.r1, c.d.q, out=c.spare)
+    cost = np.subtract(c.busy, np.multiply(c.d.one_sender, c.w.q, out=c.spare), out=out)
+    cost -= np.multiply(c.w.one_sender, c.d.q, out=c.spare)
     cost *= config.w_col
     cost += np.multiply(config.w_idle, c.p_idle, out=c.spare)  # no term is NaN, so the sum commutes bit for bit
     return cost

@@ -171,7 +171,7 @@ class _Axis:
 
     ``tau`` is a scalar or an array: an array gives the factors of a whole
     strategy axis at once. A network with no nodes is ``tau = 0, n = 0``,
-    whose factors are all 1 except ``solo``, which is 0.
+    whose factors are all 1 except ``solo`` and ``one_sender``, which are 0.
     """
 
     __slots__ = ("n", "tau", "q", "solo", "r1", "r2")
@@ -184,6 +184,9 @@ class _Axis:
         self.r1 = one ** (n - 1)
         self.solo = tau * self.r1  # one given node alone transmits in its network
         self.r2 = one ** (n - 2)
+
+    # Exactly one of the network's nodes transmits; computed on each read, as only the cost terms need it.
+    one_sender = property(lambda self: self.n * self.tau * self.r1)
 
 
 class _Cells:

@@ -16,13 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cells import cells_at
-from csma_game import analysis
 from csma_game.analysis import (
     QuasiConcavityReport,
     _age_slope_parts,
     _alpha2_root,
     _cost_slope_parts,
-    _effective_signs,
     _tau_prime_bound,
     _wifi_slope,
     verify_quasiconcavity,
@@ -285,8 +283,8 @@ def bisection_alpha2_root(n_d, beta, q_w=1.0, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
-def one_value_scan(player, config, fixed_opponent, step=0.001):
-    """(sign changes, pattern ok, bound, root) of one opponent value's scan, term by term."""
+def one_value_slope(player, config, fixed_opponent, step=0.001):
+    """One opponent value's scanned slope, term by term."""
     pts = step + step * np.arange(math.ceil(1.0 / step) - 1)
     pts = pts[(pts >= 1e-4) & (pts <= 1.0 - 1e-4)]
     beta = config.beta
@@ -303,13 +301,19 @@ def one_value_scan(player, config, fixed_opponent, step=0.001):
     opp_prime = opp.n * opp.tau * opp.r1
     alpha_col = config.w_col * (opp.q * own.n * (own.n - 1) * own.tau * own.r2 + opp_prime * own.n * own.r1)
     alpha_idle = config.w_idle * opp.q * own.n * own.r1
-    signs = _effective_signs(np.asarray(slope + alpha_col - alpha_idle))
+    return np.asarray(slope + alpha_col - alpha_idle)
+
+
+def one_value_scan(player, config, fixed_opponent, step=0.001):
+    """(sign changes, pattern ok, bound, root) of one opponent value's scan; exact zeros take no part."""
+    slope = one_value_slope(player, config, fixed_opponent, step)
+    signs = np.sign(slope[np.abs(slope) > 0.0])
     changes = int(np.count_nonzero(np.diff(signs) != 0))
     ok = changes == 0 or (changes == 1 and signs[0] < 0 and signs[-1] > 0)
     if player == WIFI:
         return changes, bool(ok), None, None
-    root = bisection_alpha2_root(config.n_dsrc, beta, q_w=float(w.q))
-    return changes, bool(ok), _tau_prime_bound(beta, config.n_dsrc), root
+    root = bisection_alpha2_root(config.n_dsrc, config.beta, q_w=float(_Axis(fixed_opponent, config.n_wifi).q))
+    return changes, bool(ok), _tau_prime_bound(config.beta, config.n_dsrc), root
 
 
 @settings(max_examples=300, deadline=None)
@@ -355,18 +359,11 @@ def test_sequence_scan_matches_one_value_oracle(player, weights):
             assert_matches_oracle(reports, player, cfg, CATALOG_OPPONENTS)
 
 
-def test_near_zero_rows_are_bridged_as_the_oracle_does(monkeypatch):
-    # (1-tau_w)^48 underflows towards 0 at the top of the scan, so the wifi slope has entries below 1e-12
-    cfg = NetworkConfig(2, 50, 0.001, 0.001, 1.001)
-    rows = []
-
-    def recording(values):
-        rows.append(values)
-        return _effective_signs(values)
-
-    monkeypatch.setattr(analysis, "_effective_signs", recording)
+def test_exact_zeros_take_no_part_as_in_the_oracle():
+    # (1-tau_w)^398 underflows to 0 at the top of the scan, so the costed wifi slope ends in exact zeros
+    cfg = NetworkConfig(2, 400, 0.001, 0.001, 1.001)
+    assert np.count_nonzero(one_value_slope(WIFI, cfg, 0.5) == 0.0) == 153
     reports = verify_quasiconcavity(WIFI, cfg, CATALOG_OPPONENTS)
-    assert len(rows) == len(CATALOG_OPPONENTS) and all(np.any(np.abs(r) < 1e-12) for r in rows)
     assert_matches_oracle(reports, WIFI, cfg, CATALOG_OPPONENTS)
 
 
@@ -416,8 +413,10 @@ def test_sequence_checks_each_value_in_order():
     with pytest.raises(FloatingPointError) as exc:
         verify_quasiconcavity(DSRC, cfg, [0.95, 0.9])
     assert str(exc.value).startswith("(1-0.95)^400 underflows to 0")
-    # the WiFi scan needs no update-rate root, so an underflowing DSRC factor is no error
-    assert len(verify_quasiconcavity(WIFI, NetworkConfig(400, 2, 0.001), [0.9])) == 1
+    # an underflowing DSRC factor multiplies every entry of the WiFi scan, so it is an error there too
+    with pytest.raises(FloatingPointError) as exc:
+        verify_quasiconcavity(WIFI, NetworkConfig(400, 2, 0.001), [0.5, 0.9])
+    assert str(exc.value).startswith("(1-0.9)^400 underflows to 0")
 
 
 @pytest.mark.parametrize("step, kept", [

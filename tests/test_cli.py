@@ -14,6 +14,7 @@ from csma_game.cli import main
 from csma_game.model import DSRC, WIFI, NetworkConfig
 
 COMMANDS = ("metrics", "nash", "sweep", "stackelberg", "optimum", "verify", "simulate")
+TESTS_DIR = str(Path(__file__).resolve().parent)
 
 
 def run_cli(argv, capsys):
@@ -238,7 +239,10 @@ def test_out_of_range_beta_is_config_error(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["nash", "--w-idle", "nan"], "error: cost weights must be finite and non-negative"),
     (["nash", "--w-col", "inf"], "error: cost weights must be finite and non-negative"),
-], ids=["w-idle-nan", "w-col-inf"])
+    (["nash", "--format", "xml"], "error: invalid value for format: 'xml' (expected one of csv, json)"),
+    (["nash", "--config", TESTS_DIR],
+     f"error: cannot read config file {TESTS_DIR}: [Errno 21] Is a directory: '{TESTS_DIR}'"),
+], ids=["w-idle-nan", "w-col-inf", "format-xml", "config-directory"])
 def test_non_finite_weight_or_tie_tolerance_is_config_error(argv, message, capsys):
     assert main(argv + ["--nd", "2", "--nw", "2"]) == 1
     captured = capsys.readouterr()
@@ -520,12 +524,15 @@ def test_catalog_verify_output_is_the_oracles(preset, weights, fmt, capsys):
     assert out == cli._render(*oracle_verify_rows((1, 2, 5), (1, 2, 5), *weights), fmt)
 
 
-@pytest.mark.parametrize("tau_opp, code, message", [
-    ("0.5,0.9,1.0", 2, "error: (1-0.9)^400 underflows to 0"),
-    ("1.0,0.9", 1, "error: fixed opponent strategy must lie in [0, 1)"),
-], ids=["underflow-first", "range-first"])
-def test_verify_reports_the_first_bad_opponent_value(tau_opp, code, message, capsys):
-    assert main(["verify", "--nd", "2", "--nw", "400", "--player", "dsrc", "--tau-opp", tau_opp]) == code
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("player, tau_opp, code, message", [
+    ("dsrc", "0.5,0.9,1.0", 2, "error: (1-0.9)^400 underflows to 0"),
+    ("dsrc", "1.0,0.9", 1, "error: fixed opponent strategy must lie in [0, 1)"),
+    ("wifi", "0.9", 2, "error: (1-0.9)^400 underflows to 0"),
+], ids=["underflow-first", "range-first", "wifi-underflow"])
+def test_verify_reports_the_first_bad_opponent_value(player, tau_opp, code, message, capsys):
+    sizes = ["--nd", "2", "--nw", "400"] if player == DSRC else ["--nd", "400", "--nw", "2"]  # 400 opponent nodes
+    assert main(["verify", *sizes, "--player", player, "--tau-opp", tau_opp]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
@@ -545,14 +552,25 @@ def test_verify_scans_once_per_player_and_cell(monkeypatch, capsys):
     assert len(calls) == 18
 
 
-def test_costed_catalog_verify_prints_no_warning():
+@pytest.mark.parametrize("argv", [
+    ["--nd", "1,2,5", "--nw", "1,2,5", "--preset", "costed"],
+    ["--player", "dsrc", "--nd", "400", "--nw", "2"],  # the own (1-tau_d)^400 underflows above tau_d ~ 0.83
+], ids=["costed-catalog", "dsrc-400"])
+def test_verify_prints_no_warning(argv):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = ["verify", "--nd", "1,2,5", "--nw", "1,2,5", "--preset", "costed"]
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "csma_game.cli", *argv],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "csma_game.cli", "verify", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_wifi_scan_of_a_tiny_slope_counts_its_sign_change(capsys):
+    # the zero-cost slope carries the factor (1-0.3)^100 ~ 3e-16, yet no entry is zero
+    code, out = run_cli(["verify", "--player", "wifi", "--nd", "100", "--nw", "2", "--tau-opp", "0.3"], capsys)
+    assert code == 0
+    (row,) = parse_csv(out)[1]
+    assert (row["sign_changes"], row["pattern_ok"]) == ("1", "true")
 
 
 @pytest.mark.parametrize("nd, nw, player", [("2", "0", "wifi"), ("0", "2", "dsrc")], ids=["wifi", "dsrc"])
