@@ -237,11 +237,13 @@ def build_surfaces(
     age, throughput, cost = (np.empty((pts.size, pts.size)) for _ in range(3))
     blocks = _row_blocks(pts.size, pts.size)
     bufs = np.empty((5, pts[blocks[0]].size, pts.size))
-    for rows in blocks:
-        cells = _Cells(_Axis(pts[rows, None], config.n_dsrc), w, config.beta, bufs[:, : pts[rows].size])
-        _aoi_expr(cells, out=age[rows])
-        _throughput_expr(cells, out=throughput[rows])
-        _cost_expr(cells, config, out=cost[rows])
+    # (1-tau)^n may underflow to 0 at large n: the age is then +inf, which the solvers report
+    with np.errstate(divide="ignore", over="ignore"):
+        for rows in blocks:
+            cells = _Cells(_Axis(pts[rows, None], config.n_dsrc), w, config.beta, bufs[:, : pts[rows].size])
+            _aoi_expr(cells, out=age[rows])
+            _throughput_expr(cells, out=throughput[rows])
+            _cost_expr(cells, config, out=cost[rows])
     del bufs, cells  # the build holds no more than its results while the map runs
     rescaled = (rescale if rescale is not None else rescale_age)(age, throughput)
     for arr in (age, throughput, cost, rescaled):

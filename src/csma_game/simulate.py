@@ -8,8 +8,10 @@ block carries over, so no block or chunk size changes the realisation. One
 pass covers the warm-up, then the measured window, in chunks: the nodes due
 in a chunk give the slices of their blocks in it, and one bincount counts
 each slot's transmitters. A chunk costs its slots plus its transmissions, not
-slots x nodes; memory is one chunk, a block per node and per-node state,
-whatever the horizon.
+slots x nodes. Its arrays, but for the bincount's (one size in every chunk),
+are views of one workspace per run, which grows by an eighth past a chunk that
+overflows it, so chunks map no fresh pages; memory is one chunk's workspace, a
+block per node and per-node state, whatever the horizon.
 
 Age grows at unit rate and drops to the success-slot length at each of the
 node's deliveries (slots it alone transmits in; time 0 counts as one), so a
@@ -33,14 +35,15 @@ import numpy as np
 
 from .model import AccessVector, SlotLengths
 
-# Memory of a chunk in 8-byte words: 3 a slot (count, end, slack) and 9 a
-# transmission (2 in its node's block, which holds two chunks' gaps, its slot
-# in the chunk, its count and 40 bytes of delivery temporaries). A chunk gets
-# _CHUNK words per whole 128 nodes, at least once: about twice what the
-# nodes' generators and least blocks hold, so the per-node loop stays small
-# beside it. 1 MiB: 1 << 20 ran no faster at n <= 10 and raised the peak RSS.
-_CHUNK = 1 << 17
-_SLOT_WORDS, _TX_WORDS = 3, 9
+# Memory of a chunk in 8-byte words: 3 a slot (count, end, slack) and 11 a
+# transmission (4 workspace rows and an eighth of headroom; 2 in its node's
+# block, which holds two chunks' gaps; 4 of temporaries while a block is drawn
+# or deliveries are merged). A chunk gets _CHUNK words per whole 128 nodes, at
+# least once: about twice what the nodes' generators and least blocks hold, so
+# the per-node loop stays small beside it. 2 MiB: on `oracle`, 1 MiB ran 14%
+# slower, and 4 MiB 4% faster but with 1.7 MB more peak RSS.
+_CHUNK = 1 << 18
+_SLOT_WORDS, _TX_WORDS = 3, 11
 
 
 class NoProgressError(RuntimeError):
@@ -122,6 +125,11 @@ def _merge_runs(stats: np.ndarray, node: np.ndarray, starts: np.ndarray, size: n
     stats[..., node] = count + k, mean + delta * share, m2, co
 
 
+def _fit(work: np.ndarray, m: int) -> np.ndarray:
+    """The workspace, or one with room for m + m // 8 transmissions when it has room for fewer than m."""
+    return work if work.shape[1] >= m else np.empty((len(work), m + m // 8 + 1))
+
+
 def _mean_se(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample means and their standard errors, NaN where there are too few samples."""
     count, mean, m2 = stats
@@ -138,7 +146,7 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
     scale = np.divide(-1.0, log_q, out=np.full(n, np.inf), where=log_q < -64 / np.finfo(float).max)
     streams = [np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(n)]
     slot_length = np.array([s.idle, s.success, s.collision])  # by transmitter count 0, 1, 2+
-    chunk = max(1, int(_CHUNK * max(1, n // 128) // (_SLOT_WORDS + _TX_WORDS * taus.sum())))  # slots
+    chunk = min(horizon, max(1, int(_CHUNK * max(1, n // 128) // (_SLOT_WORDS + _TX_WORDS * taus.sum()))))  # slots
     block = np.maximum(256, np.ceil(taus * min(2 * chunk, horizon))).astype(int).tolist()  # gaps a draw
     kinds = np.zeros((2, 2), dtype=np.int64)  # idle and success slots of the warm-up and the window
     last, area = np.zeros((2, n))  # latest delivery (time 0 counts as one), age integral up to it
@@ -147,45 +155,57 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
 
     def draw(i: int, after: int) -> np.ndarray:
         """Node i's next transmit slots after `after`; gaps cut at horizon + 1 keep them in int64."""
-        x = np.minimum(streams[i].standard_exponential(block[i]) * scale[i], horizon)
-        return after + np.cumsum(x.astype(np.int64) + 1)  # astype floors, as x >= 0
+        x = streams[i].standard_exponential(block[i])
+        gap = np.minimum(np.multiply(x, scale[i], out=x), horizon, out=x).astype(np.int64)  # floors, as x >= 0
+        gap += 1
+        return np.add(np.cumsum(gap, out=gap), after, out=gap)
 
     blocks = [draw(i, -1) if scale[i] < np.inf else np.array([horizon]) for i in range(n)]
     next_slot = np.array([ahead[0] for ahead in blocks])
 
     def add_chunk(first: int, stop: int, seg: int, clock: float) -> float:
         """Add slots first to stop; returns the clock at their end."""
-        active, parts = np.flatnonzero(next_slot < stop), [none]
+        nonlocal work
+        active, parts, due = np.flatnonzero(next_slot < stop), [none], [0]
         for i in active.tolist():  # each due node's transmit slots up to `stop`
             ahead = blocks[i]
-            while ahead[-1] < stop:  # carry the rest of the block over to the next
-                ahead = np.concatenate((ahead, draw(i, ahead[-1])))
+            while ahead[-1] < stop:  # all the rest of the block is due: draw the next
+                parts.append(ahead)
+                ahead = draw(i, ahead[-1])
             k = ahead.searchsorted(stop)
             blocks[i], next_slot[i] = ahead[k:], ahead[k]
             parts.append(ahead[:k])
-        slot = np.concatenate(parts) - first
+            due.append(len(parts) - 1)  # the node's last part
+        offsets = np.cumsum([p.size for p in parts])[due]  # 0, then where each due node's slots end
+        work = _fit(work, int(offsets[-1]))
+        slot, at = work[:2, :offsets[-1]].view(np.int64)
+        np.subtract(np.concatenate(parts, out=slot), first, out=slot)
         count = np.bincount(slot, minlength=stop - first)  # transmitters per slot
-        end = slot_length.take(count, mode="clip")
+        end = slot_length.take(count, mode="clip", out=ends[:count.size])
         end[0] += clock
         np.cumsum(end, out=end)  # each slot's end, as one cumsum over the horizon gives
-        solo = (count == 1).take(slot)  # the deliveries, by node and then in slot order
-        t, clock = end.take(slot.compress(solo)), end[-1]  # compress: faster than slot[solo]
-        kinds[seg] += count.size - np.count_nonzero(count), t.size
-        got = np.add.reduceat(solo, np.cumsum([p.size for p in parts])[:-1], dtype=np.intp)  # by due node
-        del slot, count, end, solo  # before the run temporaries
+        solo = np.equal(count.take(slot, mode="clip", out=at), 1, out=work[2].view(bool)[:slot.size])
+        got = np.add.reduceat(solo, offsets[:-1], dtype=np.intp)  # deliveries by due node, each in slot order
+        d, clock = int(got.sum()), end[-1]
+        kinds[seg] += count.size - np.count_nonzero(count), d
+        del parts, count  # before the delivery temporaries
+        t = end.take(slot.compress(solo), mode="clip", out=work[3, :d])  # compress: faster than slot[solo]
         node, size = active[got > 0], got[got > 0]  # each node's run of deliveries
         starts = np.cumsum(size) - size
-        z = t - np.concatenate(([0.0], t[:-1]))  # time since the node's previous delivery
-        z[starts] = t[starts] - last[node]
+        x = work[:2, :d]  # Z and Z^2: the slots are read, so rows 0-2 are free
+        np.subtract(t[1:], t[:-1], out=x[0, 1:])  # time since the node's previous delivery
+        x[0, starts] = t[starts] - last[node]
         last[node] = t[starts + size - 1]
-        x = np.array((z, z * z))
-        area[node] += np.add.reduceat(s.success * z + 0.5 * x[1], starts)
+        reward = np.multiply(x[0], s.success, out=work[2, :d])  # s_S*Z + Z^2/2
+        reward += np.multiply(np.multiply(x[0], x[0], out=x[1]), 0.5, out=t)  # t is read: it takes Z^2/2
+        area[node] += np.add.reduceat(reward, starts)
         if seg:
             _merge_runs(gaps, node, starts, size, x, ~measured[node])
             measured[node] = True
         return clock
 
     none, clock, edges = np.empty(0, np.int64), 0.0, []
+    ends, work = np.empty(chunk), _fit(np.empty((4, 0)), int(taus.sum() * chunk))  # the workspace
     for seg, (lo, hi) in enumerate(((0, warmup), (warmup, horizon))):  # the warm-up, then the window
         for first in range(lo, hi, chunk):
             clock = add_chunk(first, min(first + chunk, hi), seg, clock)

@@ -330,7 +330,7 @@ def test_metrics_without_dsrc_sender_leaves_age_empty(capsys):
     assert all(r["age"] is None and r["throughput"] > 0.0 for r in records)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["nash", "--nd", "400", "--nw", "400"],
     ["stackelberg", "--nd", "400", "--nw", "400", "--leader", "wifi"],
@@ -340,10 +340,11 @@ def test_non_finite_payoff_surface_is_runtime_error(argv, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "no best response" in captured.err
+    assert captured.err.startswith("error: ") and "no best response" in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_age_leader_on_non_finite_surface_still_answers(capsys):
     code, out = run_cli(["stackelberg", "--nd", "400", "--nw", "400", "--leader", "dsrc"], capsys)
     assert code == 0

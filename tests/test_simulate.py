@@ -1,7 +1,13 @@
 """Slot simulator: determinism, exact degenerate paths, agreement with analytics
-and with a dense per-slot reference, bounded memory."""
+and with a dense per-slot reference, bounded memory, few fresh pages."""
 
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -226,8 +232,29 @@ DENSE_CASES = [
 ])
 def test_matches_dense_reference(taus, horizon, warmup, chunk, monkeypatch):
     monkeypatch.setattr(simulate, "_CHUNK", chunk)
-    v = AccessVector(taus, (DSRC,) * len(taus))
-    cfg = SimConfig(horizon_slots=horizon, seed=17, warmup_slots=warmup)
+    assert_matches_dense_reference(AccessVector(taus, (DSRC,) * len(taus)),
+                                   SimConfig(horizon_slots=horizon, seed=17, warmup_slots=warmup))
+
+
+def test_workspace_growth_matches_dense_reference(monkeypatch):
+    # 8-slot chunks: the workspace first holds 10 transmissions, a chunk
+    # carries 8 on average and more than 10 in about one chunk of eight.
+    grown, fit = [], simulate._fit
+
+    def spy(work, m):
+        out = fit(work, m)
+        if out is not work and work.shape[1]:
+            grown.append((work.shape[1], m))
+        return out
+
+    monkeypatch.setattr(simulate, "_fit", spy)
+    monkeypatch.setattr(simulate, "_CHUNK", 8 * (simulate._SLOT_WORDS + simulate._TX_WORDS))
+    assert_matches_dense_reference(AccessVector((0.3, 0.5, 0.2), (DSRC, WIFI, DSRC)),
+                                   SimConfig(horizon_slots=20_000, seed=17))
+    assert grown and grown[0][0] == 10, grown
+
+
+def assert_matches_dense_reference(v, cfg):
     got, want = run_simulation(v, S001, cfg), dense_reference(v, S001, cfg)
     for f in SLOT_FIELDS:
         assert getattr(got, f) == getattr(want, f), f
@@ -279,7 +306,7 @@ def tracemalloc_peak(v, horizon):
 
 
 def test_memory_does_not_grow_with_the_horizon(monkeypatch):
-    # 1 365-slot chunks: both horizons span many, and only one is held at a time
+    # 1 170-slot chunks: both horizons span many, and only one is held at a time
     monkeypatch.setattr(simulate, "_CHUNK", 1 << 14)
     v = AccessVector((0.1,) * 10, (DSRC,) * 5 + (WIFI,) * 5)
     run_simulation(v, S001, SimConfig(horizon_slots=1_000, seed=5))  # first-call allocations
@@ -289,10 +316,11 @@ def test_memory_does_not_grow_with_the_horizon(monkeypatch):
 
 @pytest.mark.parametrize("tau", [0.01, 1.0])
 def test_one_node_chunk_stays_within_its_budget(tau):
-    # A chunk takes about 17 bytes a slot and, at tau = 1, where every slot is
-    # a delivery, about 80 with its share of the node's block. A 1.05M-slot
-    # warm-up spans many chunks; a chunk of _CHUNK slots would peak at
-    # 2.1-10 MiB.
+    # A chunk takes about 17 bytes a slot, 16 of them for its count and end,
+    # and, at tau = 1, where every slot is a delivery, about 93 with its
+    # transmissions' rows of the workspace and its share of the node's block.
+    # A 1.05M-slot warm-up spans many chunks; a chunk of _CHUNK slots would
+    # peak at 4.2-23 MiB.
     v = AccessVector((tau,), (DSRC,))
     run_simulation(v, S001, SimConfig(horizon_slots=1_000, seed=5))  # first-call allocations
     tracemalloc.start()
@@ -352,3 +380,29 @@ def test_age_intervals_are_calibrated_at_a_thousand_nodes(seed):
     res = run_simulation(v, S001, SimConfig(horizon_slots=1_000_000, seed=seed))
     z = (res.age - [aoi_node(v, S001, i) for i in range(1000)]) / res.age_se
     assert np.mean(np.abs(z) > 1.96) <= 0.10
+
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's allocator")
+def test_a_repeated_run_maps_few_fresh_pages():
+    # Run twice in a fresh interpreter, whose allocator has no history, and
+    # count the minor page faults of the second run. Chunk arrays that are
+    # new allocations in every chunk pass glibc's mmap threshold and map
+    # fresh pages each time: before the run-scoped workspace, the second run
+    # took 9 007-9 011 faults (three runs). Now it maps the workspace's pages
+    # once, and the second run takes 760-1 012.
+    script = textwrap.dedent("""
+        import resource
+        from csma_game.model import DSRC, WIFI, AccessVector, SlotLengths
+        from csma_game.simulate import SimConfig, run_simulation
+        v = AccessVector((0.001,) * 1000, (DSRC, WIFI) * 500)
+        args = v, SlotLengths.from_beta(0.001), SimConfig(horizon_slots=1_000_000, seed=3)
+        run_simulation(*args)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_simulation(*args)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(simulate.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) <= 9_007 // 5
