@@ -91,6 +91,7 @@ def solve_stackelberg(leader: str, surfaces: PayoffSurfaces) -> StackelbergResul
 
     Ties in the leader's max-min value break toward the smallest strategy;
     the reported pair carries the follower reply that attains the minimum.
+    A NaN max-min value raises FloatingPointError.
     """
     _require_player(leader)
     pts = surfaces.grid.points()
@@ -98,6 +99,9 @@ def solve_stackelberg(leader: str, surfaces: PayoffSurfaces) -> StackelbergResul
         fol_mask, pessimistic = surfaces._br_wifi, surfaces._sweep.worst_dsrc
     else:
         fol_mask, pessimistic = surfaces._br_dsrc.T, surfaces._sweep.worst_wifi
+    if nan := int(np.count_nonzero(np.isnan(pessimistic))):  # argmax would pick the first NaN
+        raise FloatingPointError(f"the {leader} leader's worst payoff is NaN at {nan} of its strategies: the payoff "
+                                 "surface is not finite there, as when (1-tau)^n underflows for large node counts")
     li = int(np.argmax(pessimistic))
     replies = np.flatnonzero(fol_mask[li])
     u_dsrc, u_wifi = surfaces._payoffs(lambda a: a[li, replies] if leader == DSRC else a[replies, li])

@@ -103,19 +103,20 @@ def rescale_age_per_opponent(age: np.ndarray, throughput: np.ndarray) -> np.ndar
     """
     thr_lo, thr_hi = float(throughput.min()), float(throughput.max())
     lo = age.min(axis=0, keepdims=True)
-    span = age.max(axis=0, keepdims=True) - lo
-    flat = ~(span > 0.0)  # a constant column, or one whose span is NaN
-    divisor = np.where(flat, 1.0, span)
-    # Mapped block by block on the one output array: the build holds no grid beyond its results.
-    out = np.empty(age.shape)
-    for rows in _row_blocks(*age.shape):
-        block = np.subtract(age[rows], lo, out=out[rows])
-        if thr_hi != thr_lo:
-            block *= thr_hi - thr_lo
-            block /= divisor
-        block += thr_lo
-        if thr_hi != thr_lo:
-            np.copyto(block, thr_lo, where=flat)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf: an infinite-age column is NaN, the solvers raise
+        span = age.max(axis=0, keepdims=True) - lo
+        flat = ~(span > 0.0)  # a constant column, or one whose span is NaN
+        divisor = np.where(flat, 1.0, span)
+        # Mapped block by block on the one output array: the build holds no grid beyond its results.
+        out = np.empty(age.shape)
+        for rows in _row_blocks(*age.shape):
+            block = np.subtract(age[rows], lo, out=out[rows])
+            if thr_hi != thr_lo:
+                block *= thr_hi - thr_lo
+                block /= divisor
+            block += thr_lo
+            if thr_hi != thr_lo:
+                np.copyto(block, thr_lo, where=flat)
     return out
 
 
@@ -124,7 +125,9 @@ class PayoffSurfaces:
     """Age, throughput, cost, and rescaled-age values on the strategy grid.
 
     Arrays are indexed ``[i, j]`` with ``i`` the tau_d grid index and ``j``
-    the tau_w grid index, and are read-only once built. The payoffs
+    the tau_w grid index, and are read-only once built. Age, throughput and
+    cost are the planes of one array, so a plane kept after the surfaces are
+    dropped keeps all three alive (24 MB at 999 points a side). The payoffs
     ``-age_rescaled - cost`` and ``throughput - cost`` are never held as grids:
     one sweep over row blocks, run on first use and kept, gives what the
     solvers read. A mask that raises does not stop the other's from being used.
@@ -224,9 +227,12 @@ def build_surfaces(
     and at most ``_BLOCK_CELLS`` cells. They share each block's ``_Cells``,
     whose factors and temporaries go into block buffers allocated once per
     build, and write into the surfaces; every cell is the same as a whole-grid
-    evaluation gives. ``rescale`` may be swapped for any other strictly
-    increasing affine map of the age surface; with zero cost weights the
-    equilibria do not depend on the choice.
+    evaluation gives. The three are planes of one (3, n, n) array: once glibc
+    has freed one, its raised trim threshold keeps the pages, and later builds
+    of that grid reuse them instead of faulting in fresh ones, as long as the
+    array is within glibc's 32 MiB mmap ceiling (n <= 1182). ``rescale`` may
+    be swapped for any other strictly increasing affine map of the age
+    surface; with zero cost weights the equilibria do not depend on it.
     """
     if config.n_dsrc < 1 or config.n_wifi < 1:
         raise ValueError("the game needs at least one node in each network")
@@ -234,7 +240,7 @@ def build_surfaces(
     pts = grid.points()
     # Factors on a column (tau_d) and a row (tau_w); the surfaces are their outer products.
     w = _Axis(pts[None, :], config.n_wifi)
-    age, throughput, cost = (np.empty((pts.size, pts.size)) for _ in range(3))
+    age, throughput, cost = stack = np.empty((3, pts.size, pts.size))
     blocks = _row_blocks(pts.size, pts.size)
     bufs = np.empty((5, pts[blocks[0]].size, pts.size))
     # (1-tau)^n may underflow to 0 at large n: the age is then +inf, which the solvers report
@@ -246,7 +252,7 @@ def build_surfaces(
             _cost_expr(cells, config, out=cost[rows])
     del bufs, cells  # the build holds no more than its results while the map runs
     rescaled = (rescale if rescale is not None else rescale_age)(age, throughput)
-    for arr in (age, throughput, cost, rescaled):
+    for arr in (stack, age, throughput, cost, rescaled):
         arr.setflags(write=False)
     return PayoffSurfaces(
         config=config, grid=grid, age=age, throughput=throughput, cost=cost, age_rescaled=rescaled

@@ -330,17 +330,24 @@ def test_metrics_without_dsrc_sender_leaves_age_empty(capsys):
     assert all(r["age"] is None and r["throughput"] > 0.0 for r in records)
 
 
+COSTED_400 = ["--nd", "400", "--nw", "400", "--preset", "costed", "--rescale", "per-opponent"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["nash", "--nd", "400", "--nw", "400"],
     ["stackelberg", "--nd", "400", "--nw", "400", "--leader", "wifi"],
+    ["nash", *COSTED_400],
+    ["stackelberg", *COSTED_400, "--leader", "wifi"],
+    ["stackelberg", *COSTED_400, "--leader", "dsrc"],  # the WiFi follower answers; the leader's values are NaN
 ])
 def test_non_finite_payoff_surface_is_runtime_error(argv, capsys):
+    message = "worst payoff is NaN" if argv[-1] == "dsrc" else "no best response"
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "no best response" in captured.err
+    assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 

@@ -321,6 +321,16 @@ class TestExactBestResponses:
             assert (np.isfinite(u.max(axis=0)) & ~np.isfinite(u).all(axis=0)).any()
         assert np.array_equal(surf._br_wifi, tie_mask(u_w, 1, 0.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_max_min_values_raise(self):
+        # The per-opponent map sends the costed 400/400 game's infinite-age columns to NaN, so 91 of the
+        # DSRC leader's max-min values are NaN; argmax took the first of them as the leader's strategy.
+        surf = build_surfaces(NetworkConfig(400, 400, 0.001, **COSTED), rescale=rescale_age_per_opponent)
+        assert np.count_nonzero(np.isnan(surf._sweep.worst_dsrc)) == 91
+        surf._br_wifi  # the follower has a best response to every leader strategy
+        with pytest.raises(FloatingPointError, match="the dsrc leader's worst payoff is NaN at 91 of its strategies"):
+            solve_stackelberg(DSRC, surf)
+
 
 def stackelberg_row(leader, surf):
     r = solve_stackelberg(leader, surf)
