@@ -253,8 +253,12 @@ def _run_metrics(opt: _Options):
     cells = _Cells(_Axis(td, config.n_dsrc), _Axis(tw, config.n_wifi), config.beta)
     # A missing age is NaN, which renders as an empty cell.
     has_age = config.n_dsrc >= 1 and bool((td > 0.0).all())
-    ages = _aoi_expr(cells) if has_age else np.full_like(pts, np.nan)
-    thrs = _throughput_expr(cells) if config.n_wifi >= 1 else np.zeros_like(pts)
+    with np.errstate(divide="ignore", over="ignore"):  # (1-tau)^n underflows at large n: the age is +inf, raised below
+        ages = _aoi_expr(cells) if has_age else np.full_like(pts, np.nan)
+        thrs = _throughput_expr(cells) if config.n_wifi >= 1 else np.zeros_like(pts)
+    if has_age and not np.isfinite(ages).all():  # a throughput is finite, as every slot lasts at least beta
+        raise FloatingPointError(f"{np.count_nonzero(~np.isfinite(ages))} of {ages.size} ages are not finite, as when "
+                                 "(1-tau)^n underflows for large node counts")
     # Rows of Python floats, which format faster than numpy scalars.
     rows = zip(td.tolist(), tw.tolist(), ages.tolist(), thrs.tolist())
     return ["tau_d", "tau_w", "age", "throughput"], list(rows)

@@ -22,9 +22,8 @@ from .model import NetworkConfig, _Axis, _Cells
 
 RescaleFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# Cells per row block: 16 rows of a 999-point grid. The closed forms' five buffers (128 KiB each), the
-# rescale maps' affine passes and both sweep passes work on one block while it is in cache, and the
-# sweep's second pass skips whole blocks. A 99-point grid is one block.
+# Cells per row block: 16 rows of a 999-point grid. The closed forms' temporaries and both sweep passes work
+# on one block while it is in cache, and the sweep's second pass skips whole blocks. A 99-point grid is one block.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -61,10 +60,10 @@ def _cost_expr(c, config: NetworkConfig, out=None):
     """Wastage cost on the shared factors ``c`` of a ``_Cells``, written into ``out`` if given."""
     if not config.w_col:  # with a zero weight the finite collision term adds +-0.0, which changes no bit
         return np.multiply(config.w_idle, c.p_idle, out=out)
-    cost = np.subtract(c.busy, np.multiply(c.d.one_sender, c.w.q, out=c.spare), out=out)
-    cost -= np.multiply(c.w.one_sender, c.d.q, out=c.spare)
+    cost = np.subtract(c.busy, c.d.one_sender * c.w.q, out=out)
+    cost -= c.w.one_sender * c.d.q
     cost *= config.w_col
-    cost += np.multiply(config.w_idle, c.p_idle, out=c.spare)  # no term is NaN, so the sum commutes bit for bit
+    cost += config.w_idle * c.p_idle  # no term is NaN, so the sum commutes bit for bit
     return cost
 
 
@@ -81,12 +80,10 @@ def rescale_age(age: np.ndarray, throughput: np.ndarray) -> np.ndarray:
     if age_hi == age_lo:
         return np.full_like(age, thr_lo)
     slope = (thr_hi - thr_lo) / (age_hi - age_lo)
-    out = np.empty(age.shape)
-    for rows in _row_blocks(*age.shape):  # each block's three passes while it is in cache
-        block = np.subtract(age[rows], age_lo, out=out[rows])
-        if not slope <= 0.0:  # a slope <= 0 leaves a pure shift; a NaN one scales, to NaN
-            block *= slope
-        block += thr_lo
+    out = np.subtract(age, age_lo)
+    if not slope <= 0.0:  # a slope <= 0 leaves a pure shift; a NaN one scales, to NaN
+        out *= slope
+    out += thr_lo
     return out
 
 
@@ -107,16 +104,13 @@ def rescale_age_per_opponent(age: np.ndarray, throughput: np.ndarray) -> np.ndar
         span = age.max(axis=0, keepdims=True) - lo
         flat = ~(span > 0.0)  # a constant column, or one whose span is NaN
         divisor = np.where(flat, 1.0, span)
-        # Mapped block by block on the one output array: the build holds no grid beyond its results.
-        out = np.empty(age.shape)
-        for rows in _row_blocks(*age.shape):
-            block = np.subtract(age[rows], lo, out=out[rows])
-            if thr_hi != thr_lo:
-                block *= thr_hi - thr_lo
-                block /= divisor
-            block += thr_lo
-            if thr_hi != thr_lo:
-                np.copyto(block, thr_lo, where=flat)
+        out = np.subtract(age, lo)  # mapped in place: the build holds no grid beyond its results
+        if thr_hi != thr_lo:
+            out *= thr_hi - thr_lo
+            out /= divisor
+        out += thr_lo
+        if thr_hi != thr_lo:
+            np.copyto(out, thr_lo, where=flat)
     return out
 
 
@@ -225,12 +219,12 @@ def build_surfaces(
 
     Age, throughput and cost are filled in blocks of at least one tau_d row
     and at most ``_BLOCK_CELLS`` cells. They share each block's ``_Cells``,
-    whose factors and temporaries go into block buffers allocated once per
-    build, and write into the surfaces; every cell is the same as a whole-grid
-    evaluation gives. The three are planes of one (3, n, n) array: once glibc
-    has freed one, its raised trim threshold keeps the pages, and later builds
-    of that grid reuse them instead of faulting in fresh ones, as long as the
-    array is within glibc's 32 MiB mmap ceiling (n <= 1182). ``rescale`` may
+    whose factors and temporaries stay block-sized, and write into the
+    surfaces; every cell is the same as a whole-grid evaluation gives. The
+    three are planes of one (3, n, n) array: once glibc has freed one, its
+    raised trim threshold keeps the pages, and later builds of that grid reuse
+    them instead of faulting in fresh ones, as long as the array is within
+    glibc's 32 MiB mmap ceiling (n <= 1182). ``rescale`` may
     be swapped for any other strictly increasing affine map of the age
     surface; with zero cost weights the equilibria do not depend on it.
     """
@@ -241,16 +235,14 @@ def build_surfaces(
     # Factors on a column (tau_d) and a row (tau_w); the surfaces are their outer products.
     w = _Axis(pts[None, :], config.n_wifi)
     age, throughput, cost = stack = np.empty((3, pts.size, pts.size))
-    blocks = _row_blocks(pts.size, pts.size)
-    bufs = np.empty((5, pts[blocks[0]].size, pts.size))
     # (1-tau)^n may underflow to 0 at large n: the age is then +inf, which the solvers report
     with np.errstate(divide="ignore", over="ignore"):
-        for rows in blocks:
-            cells = _Cells(_Axis(pts[rows, None], config.n_dsrc), w, config.beta, bufs[:, : pts[rows].size])
+        for rows in _row_blocks(pts.size, pts.size):
+            cells = _Cells(_Axis(pts[rows, None], config.n_dsrc), w, config.beta)
             _aoi_expr(cells, out=age[rows])
             _throughput_expr(cells, out=throughput[rows])
             _cost_expr(cells, config, out=cost[rows])
-    del bufs, cells  # the build holds no more than its results while the map runs
+    del cells  # the build holds no more than its results while the map runs
     rescaled = (rescale if rescale is not None else rescale_age)(age, throughput)
     for arr in (stack, age, throughput, cost, rescaled):
         arr.setflags(write=False)

@@ -44,7 +44,6 @@ class _Node:
     probability stands in for either network's success probability."""
 
     __slots__ = ("succ_d", "succ_w", "busy", "mean_length", "beta")
-    spare = None  # no scratch array: the closed forms make plain floats
 
     def __init__(self, v: AccessVector, s: SlotLengths, i: int):
         if not 0 <= i < len(v.taus):
@@ -96,7 +95,7 @@ def aoi_node(v: AccessVector, s: SlotLengths, i: int) -> float:
 
 # The closed forms, with idle slots of beta and success/collision slots of
 # 1 + beta, on the factors of a ``_Cells`` or a ``_Node``. Grid cells are numpy
-# arrays, written into ``out`` and the cells' buffers if given; a node is floats.
+# arrays, the result written into ``out`` if given; a node is floats.
 
 
 def _throughput_expr(c, out=None):
@@ -109,7 +108,7 @@ def _aoi_expr(c, out=None):
     rate = c.mean_length / c.succ_d if out is None else np.divide(c.mean_length, c.succ_d, out=out)
     rate += 0.5 * c.beta
     # (1 + beta) * busy / (2 L) to the bit: halving is exact, as busy is 0 or at least 2**-53, never subnormal
-    tail = (1.0 + c.beta) * 0.5 * c.busy if c.spare is None else np.multiply((1.0 + c.beta) * 0.5, c.busy, out=c.spare)
+    tail = (1.0 + c.beta) * 0.5 * c.busy
     tail /= c.mean_length
     rate += tail
     return rate

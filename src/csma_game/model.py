@@ -24,8 +24,6 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
 
-import numpy as np
-
 DSRC = "dsrc"
 WIFI = "wifi"
 PLAYERS = (DSRC, WIFI)
@@ -191,16 +189,14 @@ class _Axis:
 
 class _Cells:
     """Slot factors of (tau_d, tau_w) cells from the DSRC and WiFi ``_Axis`` ``d`` and ``w``; a tau_d column and a
-    tau_w row give a whole grid. ``bufs``, five arrays of the cells' shape, take in order ``p_idle``, ``busy``,
-    ``mean_length``, each ``succ_d`` or ``succ_w`` read and ``spare``, the closed forms' temporary."""
+    tau_w row give a whole grid, and scalar axes give one cell's factors as floats."""
 
-    def __init__(self, d: _Axis, w: _Axis, beta: float, bufs=(None,) * 5):
+    def __init__(self, d: _Axis, w: _Axis, beta: float):
         self.d, self.w, self.beta = d, w, beta
-        p_idle, self._busy, self._length, self._succ, self.spare = bufs
-        self.p_idle = np.multiply(d.q, w.q, out=p_idle)  # nobody transmits
+        self.p_idle = d.q * w.q  # nobody transmits
 
-    busy = cached_property(lambda self: np.subtract(1.0, self.p_idle, out=self._busy))
-    mean_length = cached_property(lambda self: np.add(self.busy, self.beta, out=self._length))  # beta idle, 1+beta busy
+    busy = cached_property(lambda self: 1.0 - self.p_idle)
+    mean_length = cached_property(lambda self: self.busy + self.beta)  # beta idle, 1+beta busy
     # One given DSRC (WiFi) node alone transmits; a value of its own on each read, which the closed forms reuse.
-    succ_d = property(lambda self: np.multiply(self.d.solo, self.w.q, out=self._succ))
-    succ_w = property(lambda self: np.multiply(self.w.solo, self.d.q, out=self._succ))
+    succ_d = property(lambda self: self.d.solo * self.w.q)
+    succ_w = property(lambda self: self.w.solo * self.d.q)

@@ -213,7 +213,8 @@ def run_simulation(v: AccessVector, s: SlotLengths, cfg: SimConfig) -> SimResult
         edges.append((clock, area + s.success * since + 0.5 * since * since))  # each node's age integral
 
     if not kinds[:, 1].any():
-        raise NoProgressError("no successful slot in the whole horizon; all access probabilities zero?")
+        why = ": every access probability is 0" if not taus.any() else ""
+        raise NoProgressError(f"no successful slot in the whole horizon of {horizon} slots{why}")
     (start, area_start), (end, area_end) = edges
     window, (idle, success) = end - start, kinds[1].tolist()
     updates = gaps[0, 0].astype(np.int64) + measured  # a node's first measured update ends no cycle

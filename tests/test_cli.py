@@ -330,6 +330,19 @@ def test_metrics_without_dsrc_sender_leaves_age_empty(capsys):
     assert all(r["age"] is None and r["throughput"] > 0.0 for r in records)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_metrics_non_finite_age_is_runtime_error(fmt, capsys):
+    # Beside 0.5^400 of the WiFi side, a DSRC node's success probability leaves the double range from tau_d = 0.67
+    # on: 33 infinite ages, which the output must not hold as inf or Infinity.
+    code = main(["metrics", "--nd", "400", "--nw", "400", "--tau-w", "0.5", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: 33 of 99 ages are not finite")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 COSTED_400 = ["--nd", "400", "--nw", "400", "--preset", "costed", "--rescale", "per-opponent"]
 
 

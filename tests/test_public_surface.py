@@ -44,6 +44,8 @@ RETIRED_PARAMETERS = {
     equilibrium.solve_stackelberg: "eps_tie",
     analysis._alpha2_root: "tol",
     equilibrium.single_network_optimum: "refine",
+    # Block buffers for the slot factors: the build's row blocks keep its temporaries small without them.
+    model._Cells.__init__: "bufs",
 }
 
 
@@ -77,3 +79,10 @@ def test_retired_tolerances_and_mask_cache_are_gone():
     grid = game.GridSpec(lo=0.1, hi=0.2, step=0.1)
     surf = game.PayoffSurfaces(model.NetworkConfig(1, 1, 0.001), grid, *(np.zeros((2, 2)) for _ in range(4)))
     assert not hasattr(surf, "_masks")
+
+
+def test_closed_forms_take_no_scratch_array():
+    cells = model._Cells(model._Axis(0.2, 1), model._Axis(0.3, 2), 0.001)
+    node = metrics._Node(model.AccessVector((0.2, 0.3), (model.DSRC, model.WIFI)), model.SlotLengths(0.001), 0)
+    for factors in (cells, node):
+        assert not hasattr(factors, "spare"), type(factors).__name__

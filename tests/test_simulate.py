@@ -128,8 +128,12 @@ def test_deterministic_always_transmitting_node():
 
 def test_no_progress_error():
     v = AccessVector((0.0, 0.0), (DSRC, WIFI))
-    with pytest.raises(NoProgressError):
+    with pytest.raises(NoProgressError, match=r"^no successful slot in the whole horizon of 1000 slots: every access "
+                                              r"probability is 0$"):
         run_simulation(v, S001, SimConfig(horizon_slots=1000, seed=0))
+    # Seed 0 draws no success in two slots at tau = 0.5: no probability is 0, so the message names none.
+    with pytest.raises(NoProgressError, match=r"^no successful slot in the whole horizon of 2 slots$"):
+        run_simulation(AccessVector((0.5,), (DSRC,)), S001, SimConfig(horizon_slots=2, seed=0))
 
 
 def test_slot_counts_partition_the_window():
