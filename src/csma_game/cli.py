@@ -333,9 +333,10 @@ _COMMANDS = {
 
 
 def _cell(value, as_text: bool):
-    """A row value as CSV text or as a JSON value: None and NaN are missing, floats have 6 digits."""
+    """A row value as CSV text or as a JSON value: None and NaN are missing, floats have 6 digits
+    and a signed zero prints as 0."""
     if isinstance(value, float) and not math.isnan(value):
-        text = f"{value:.6g}"
+        text = f"{value + 0.0:.6g}"
         return text if as_text else float(text)
     if value is None or isinstance(value, float):  # missing, or NaN
         return "" if as_text else None

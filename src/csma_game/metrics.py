@@ -34,7 +34,7 @@ class InterUpdateMoments:
         if not self.first > 0.0:
             raise ValueError("mean inter-update time must be positive")
         # Jensen: E[Z^2] >= E[Z]^2 up to multiply/accumulate rounding.
-        if self.second < self.first**2 * (1.0 - 1e-12):
+        if not self.second >= self.first**2 * (1.0 - 1e-12):
             raise ValueError("second moment below the square of the first")
 
 

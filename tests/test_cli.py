@@ -95,6 +95,17 @@ def test_stackelberg_rows(capsys):
     assert float(rows[0]["tau_d"]) == pytest.approx(0.41, abs=0.011)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_zero_payoff_prints_unsigned(fmt, capsys):
+    # The age leader's payoff on this grid is -0.0 - 0.0 = -0.0.
+    code, out = run_cli(["stackelberg", "--nd", "150", "--nw", "150", "--leader", "dsrc", "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "csv":
+        assert parse_csv(out)[1][0]["leader_payoff"] == "0"
+    else:
+        assert '"leader_payoff": 0.0' in out
+
+
 def test_sweep_crosses_cells_in_order(capsys):
     code, out = run_cli(["sweep", "--nd", "2,1", "--nw", "1", "--w-idle", "0", "--w-col", "0"], capsys)
     assert code == 0

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cells import cells_at
-from csma_game.metrics import _aoi_expr, _throughput_expr, aoi_node, inter_update_moments, per_node_throughput
+from csma_game.metrics import (
+    InterUpdateMoments,
+    _aoi_expr,
+    _throughput_expr,
+    aoi_node,
+    inter_update_moments,
+    per_node_throughput,
+)
 from csma_game.model import (
     DSRC,
     WIFI,
@@ -112,6 +119,17 @@ class TestInterUpdateMoments:
         s = SlotLengths.from_beta(0.2)
         m = inter_update_moments(vector(0.5), s, 0)
         assert m.first == pytest.approx((s.idle * 0.5 + s.success * 0.5) / 0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("first, second, valid", [
+        (0.0, 1.0, False), (-1.0, 1.0, False), (math.nan, 1.0, False),
+        (2.0, 3.9, False), (2.0, math.nan, False), (2.0, 4.0 * (1 - 1e-13), True),
+    ])
+    def test_constructor_requires_a_positive_mean_and_jensens_bound(self, first, second, valid):
+        if valid:
+            assert InterUpdateMoments(first, second).second == second
+        else:
+            with pytest.raises(ValueError):
+                InterUpdateMoments(first, second)
 
     def test_never_updating_raises(self):
         with pytest.raises(ValueError):
