@@ -31,7 +31,7 @@ import numpy as np
 from .analysis import verify_quasiconcavity
 from .equilibrium import enumerate_nash, single_network_optimum, solve_stackelberg
 from .game import GridSpec, build_surfaces, rescale_age, rescale_age_per_opponent
-from .metrics import _age_and_moments, _aoi_expr, _throughput_expr, per_node_throughput
+from .metrics import _aoi_expr, _throughput_expr, aoi_node, inter_update_moments, per_node_throughput
 from .model import DSRC, WIFI, AccessVector, NetworkConfig, StrategyPair, _Axis, _Cells
 from .simulate import NoProgressError, SimConfig, run_simulation
 
@@ -158,83 +158,68 @@ def _grid(opt: _Options) -> GridSpec:
     return GridSpec(lo=opt.number("grid_lo"), hi=opt.number("grid_hi"), step=opt.number("grid_step"))
 
 
-def _network(opt: _Options, nd: int, nw: int, w_idle: float | None = None, w_col: float | None = None) -> NetworkConfig:
-    return NetworkConfig(
-        n_dsrc=nd,
-        n_wifi=nw,
-        beta=opt.number("beta"),
-        w_idle=opt.number("w_idle") if w_idle is None else w_idle,
-        w_col=opt.number("w_col") if w_col is None else w_col,
-    )
+def _players(opt: _Options, field: str) -> tuple[str, ...]:
+    """The players that ``--leader``, ``--kind`` or ``--player`` names: dsrc, wifi or both."""
+    player = opt.choice(field, (DSRC, WIFI, "both"))
+    return (DSRC, WIFI) if player == "both" else (player,)
 
 
-def _rescale_fn(opt: _Options):
-    name = opt.choice("rescale", ("range", "per-opponent"))
-    return rescale_age if name == "range" else rescale_age_per_opponent
+def _games(opt: _Options, lists=("nd", "nw")) -> list[NetworkConfig]:
+    """The invocation's distinct games, sorted: nd x nw x (w_idle, w_col) pairs. The fields in ``lists``
+    take comma lists, the others one value."""
+    fields = {"nd": int, "nw": int, "beta": float, "w_idle": float, "w_col": float}
+    nd, nw, (beta,), w_idle, w_col = (opt.numbers(field, kind) if field in lists else (opt.number(field, kind),)
+                                      for field, kind in fields.items())
+    if len(w_idle) != len(w_col):
+        raise ConfigError("w_idle and w_col must list the same number of values (weights are paired)")
+    return [NetworkConfig(d, w, beta, *weights) for d, w, weights in sorted(set(product(nd, nw, zip(w_idle, w_col))))]
+
+
+def _game_rows(opt: _Options, games: list[NetworkConfig], rows_of) -> list[tuple]:
+    """Each game's rows ``rows_of(config, surfaces)``, in turn. A game's surfaces live only for its call,
+    so none is alive while the next game's are built."""
+    grid = _grid(opt)
+    rescale = rescale_age if opt.choice("rescale", ("range", "per-opponent")) == "range" else rescale_age_per_opponent
+    return [row for config in games for row in rows_of(config, build_surfaces(config, grid, rescale=rescale))]
 
 
 # Each handler returns a header and rows of values in header order.
 
-_NASH_COLUMNS = ["tau_d", "tau_w", "age", "throughput", "u_dsrc", "u_wifi"]
 
+def _run_nash(opt: _Options, sweep: bool = False):
+    """One game's equilibria, or with ``sweep`` those of every listed game with its weights in each row."""
+    prefix = ["nd", "nw", "w_idle", "w_col"] if sweep else ["nd", "nw"]  # a sweep lists each of its four fields
 
-def _nash_rows(config: NetworkConfig, grid: GridSpec, rescale, prefix: tuple) -> list[tuple]:
-    surfaces = build_surfaces(config, grid, rescale=rescale)
-    return [
-        prefix + (r.pair.tau_d, r.pair.tau_w, r.age, r.throughput, r.payoff_dsrc, r.payoff_wifi)
-        for r in enumerate_nash(surfaces)
-    ]
+    def rows_of(config, surfaces):
+        game = (config.n_dsrc, config.n_wifi, config.w_idle, config.w_col)[:len(prefix)]
+        return [game + (r.pair.tau_d, r.pair.tau_w, r.age, r.throughput, r.payoff_dsrc, r.payoff_wifi)
+                for r in enumerate_nash(surfaces)]
 
-
-def _run_nash(opt: _Options):
-    config = _network(opt, opt.number("nd", int), opt.number("nw", int))
-    rows = _nash_rows(config, _grid(opt), _rescale_fn(opt), (config.n_dsrc, config.n_wifi))
-    return ["nd", "nw"] + _NASH_COLUMNS, rows
-
-
-def _run_sweep(opt: _Options):
-    nd_list = opt.numbers("nd", int)
-    nw_list = opt.numbers("nw", int)
-    w_idle_list = opt.numbers("w_idle")
-    w_col_list = opt.numbers("w_col")
-    if len(w_idle_list) != len(w_col_list):
-        raise ConfigError("w_idle and w_col must list the same number of values (weights are paired)")
-    grid = _grid(opt)
-    rescale = _rescale_fn(opt)
-    rows = []
-    cells = sorted(product(nd_list, nw_list, zip(w_idle_list, w_col_list)))
-    for nd, nw, (w_idle, w_col) in cells:
-        config = _network(opt, nd, nw, w_idle=w_idle, w_col=w_col)
-        rows.extend(_nash_rows(config, grid, rescale, (nd, nw, w_idle, w_col)))
-    return ["nd", "nw", "w_idle", "w_col"] + _NASH_COLUMNS, rows
+    rows = _game_rows(opt, _games(opt, prefix if sweep else ()), rows_of)
+    return prefix + ["tau_d", "tau_w", "age", "throughput", "u_dsrc", "u_wifi"], rows
 
 
 def _run_stackelberg(opt: _Options):
-    leader = opt.choice("leader", (DSRC, WIFI, "both"))
-    leaders = (DSRC, WIFI) if leader == "both" else (leader,)
-    grid = _grid(opt)
-    rescale = _rescale_fn(opt)
-    rows = {lead: [] for lead in leaders}  # printed leader by leader; each cell is built once
-    for nd, nw in sorted(product(opt.numbers("nd", int), opt.numbers("nw", int))):
-        surfaces = build_surfaces(_network(opt, nd, nw), grid, rescale=rescale)
-        for lead in leaders:
-            res = solve_stackelberg(lead, surfaces)
-            rows[lead].append((lead, nd, nw, res.pair.tau_d, res.pair.tau_w, res.age, res.throughput,
-                               res.leader_guaranteed_payoff))
-    header = ["leader", "nd", "nw", "tau_d", "tau_w", "age", "throughput", "leader_payoff"]
-    return header, [row for lead in leaders for row in rows[lead]]
+    leaders = _players(opt, "leader")
+
+    def rows_of(config, surfaces):
+        results = [(lead, solve_stackelberg(lead, surfaces)) for lead in leaders]
+        return [(lead, config.n_dsrc, config.n_wifi, res.pair.tau_d, res.pair.tau_w, res.age, res.throughput,
+                 res.leader_guaranteed_payoff) for lead, res in results]
+
+    rows = _game_rows(opt, _games(opt), rows_of)
+    rows.sort(key=lambda row: leaders.index(row[0]))  # printed leader by leader; a stable sort keeps the games' order
+    return ["leader", "nd", "nw", "tau_d", "tau_w", "age", "throughput", "leader_payoff"], rows
 
 
 def _run_optimum(opt: _Options):
-    kind = opt.choice("kind", (DSRC, WIFI, "both"))
-    kinds = (DSRC, WIFI) if kind == "both" else (kind,)
+    kinds = _players(opt, "kind")
     grid = _grid(opt)
     beta = opt.number("beta")
     rows = []
-    for k in kinds:
-        for n in sorted(opt.numbers("n", int)):
-            res = single_network_optimum(k, n, beta, grid=grid)
-            rows.append((k, n, res.tau_star, res.value))
+    for k, n in product(kinds, sorted(set(opt.numbers("n", int)))):
+        res = single_network_optimum(k, n, beta, grid=grid)
+        rows.append((k, n, res.tau_star, res.value))
     return ["kind", "n", "tau_star", "value"], rows
 
 
@@ -265,14 +250,12 @@ def _run_metrics(opt: _Options):
 
 
 def _run_verify(opt: _Options):
-    player = opt.choice("player", (DSRC, WIFI, "both"))
-    players = (DSRC, WIFI) if player == "both" else (player,)
+    players = _players(opt, "player")
     step = opt.number("scan_step")
-    cells = sorted(product(opt.numbers("nd", int), opt.numbers("nw", int)))
-    configs = [_network(opt, nd, nw) for nd, nw in cells]
+    games = _games(opt)
     taus = opt.numbers("tau_opp")
     rows = []
-    for ply, config in product(players, configs):  # one scan per player and cell, over every opponent value
+    for ply, config in product(players, games):  # one scan per player and cell, over every opponent value
         for tau, rep in zip(taus, verify_quasiconcavity(ply, config, taus, step)):
             rows.append((ply, config.n_dsrc, config.n_wifi, config.beta, config.w_idle, config.w_col, tau,
                          rep.sign_change_count, rep.sign_pattern_ok, rep.tau_prime_bound, rep.alpha2_root))
@@ -295,7 +278,10 @@ def _run_simulate(opt: _Options):
     fractions = tuple(res.slot_fractions())
     rows = []
     for i, (tau, tag) in enumerate(zip(vector.taus, vector.tags)):
-        age, ez, ez2 = _age_and_moments(vector, lengths, i) if tau > 0.0 else (None, None, None)
+        age = ez = ez2 = None  # a node that never sends has no age or inter-update time
+        if tau > 0.0:
+            moments = inter_update_moments(vector, lengths, i)
+            age, ez, ez2 = aoi_node(vector, lengths, i), moments.first, moments.second
         rows.append((
             i, tag, tau,
             res.age[i], res.age_se[i], age,
@@ -315,15 +301,14 @@ def _run_simulate(opt: _Options):
 
 # Each subcommand's handler and the option fields it reads, in --help order; --preset sets the
 # weights, so it goes with them. The key order is the bare parser's choices line.
+_GAME_FLAGS = ("nd", "nw", "beta", "w_idle", "w_col", "grid_lo", "grid_hi", "grid_step", "format", "out", "preset",
+               "config", "rescale")
 _COMMANDS = {
     "metrics": (_run_metrics, ("nd", "nw", "beta", "grid_lo", "grid_hi", "grid_step", "format", "out", "config",
                                "tau_d", "tau_w")),
-    "nash": (_run_nash, ("nd", "nw", "beta", "w_idle", "w_col", "grid_lo", "grid_hi", "grid_step", "format", "out",
-                         "preset", "config", "rescale")),
-    "sweep": (_run_sweep, ("nd", "nw", "beta", "w_idle", "w_col", "grid_lo", "grid_hi", "grid_step", "format",
-                           "out", "preset", "config", "rescale")),
-    "stackelberg": (_run_stackelberg, ("nd", "nw", "beta", "w_idle", "w_col", "grid_lo", "grid_hi", "grid_step",
-                                       "format", "out", "preset", "config", "rescale", "leader")),
+    "nash": (_run_nash, _GAME_FLAGS),
+    "sweep": (lambda opt: _run_nash(opt, sweep=True), _GAME_FLAGS),
+    "stackelberg": (_run_stackelberg, _GAME_FLAGS + ("leader",)),
     "optimum": (_run_optimum, ("beta", "grid_lo", "grid_hi", "grid_step", "format", "out", "config", "kind", "n")),
     "verify": (_run_verify, ("nd", "nw", "beta", "w_idle", "w_col", "format", "out", "preset", "config",
                              "player", "tau_opp", "scan_step")),

@@ -47,6 +47,9 @@ class GridSpec:
             raise ValueError("grid span must be an integer number of steps")
         if self.hi > self.lo and round(ratio) == 0:
             raise ValueError(f"grid step {self.step} exceeds the span [{self.lo}, {self.hi}]")
+        last = self.lo + self.step * round(ratio)  # as points() computes it: hi within the ratio's tolerance
+        if not last < 1.0:
+            raise ValueError(f"grid [{self.lo}, {self.hi}] in steps of {self.step} ends at {last!r}, not below 1")
 
     @property
     def n_points(self) -> int:

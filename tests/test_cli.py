@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
 
 from csma_game import cli
 from csma_game.cli import main
-from csma_game.model import DSRC, WIFI, NetworkConfig
+from csma_game.metrics import aoi_node, inter_update_moments, per_node_throughput
+from csma_game.model import DSRC, WIFI, AccessVector, NetworkConfig, StrategyPair
 
 COMMANDS = ("metrics", "nash", "sweep", "stackelberg", "optimum", "verify", "simulate")
 TESTS_DIR = str(Path(__file__).resolve().parent)
@@ -114,6 +116,49 @@ def test_sweep_crosses_cells_in_order(capsys):
     assert all(r["nw"] == "1" for r in rows)
 
 
+@pytest.mark.parametrize("argv, games, n_rows", [
+    (["stackelberg", "--nd", "2,2", "--nw", "1"], 1, 2),
+    (["stackelberg", "--nd", "2,1,2", "--nw", "1,1", "--leader", "dsrc"], 2, 2),
+    (["sweep", "--nd", "1", "--nw", "1", "--w-idle", "0,0", "--w-col", "0,0"], 1, 1),
+    (["verify", "--nd", "2,2", "--nw", "1", "--tau-opp", "0.3"], 0, 2),
+    (["optimum", "--n", "2,2"], 0, 2),
+])
+def test_a_repeated_game_is_built_and_printed_once(argv, games, n_rows, monkeypatch, capsys):
+    built = []
+    real = cli.build_surfaces
+
+    def counting(config, *args, **kwargs):
+        built.append(config)
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_surfaces", counting)
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == len(set(rows)) == n_rows
+    assert len(built) == len(set(built)) == games
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--nd", "1,2", "--nw", "1,2", "--w-idle", "0,0.001", "--w-col", "0,1.001"],
+    ["stackelberg", "--nd", "1,2", "--nw", "1,2", "--leader", "both"],
+], ids=["sweep", "stackelberg"])
+def test_no_games_surfaces_are_alive_during_the_next_build(argv, monkeypatch, capsys):
+    built, alive = [], []
+    real = cli.build_surfaces
+
+    def tracking(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in built))
+        surfaces = real(*args, **kwargs)
+        built.append(weakref.ref(surfaces))
+        return surfaces
+
+    monkeypatch.setattr(cli, "build_surfaces", tracking)
+    code, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert alive == [0] * len(built) and len(built) > 2
+
+
 def test_sweep_weight_lists_must_pair(capsys):
     code, _ = run_cli(["sweep", "--nd", "1", "--nw", "1", "--w-idle", "0,1", "--w-col", "0"], capsys)
     assert code == 1
@@ -163,18 +208,30 @@ def test_bad_or_too_coarse_scan_step_is_config_error(step, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+ANALYTIC = ("age_analytic", "throughput_analytic", "ez_analytic", "ez2_analytic")
+
+
 def test_simulate_emits_analytic_columns(capsys):
-    code, out = run_cli(
-        ["simulate", "--nd", "1", "--nw", "1", "--tau-d", "0.4", "--tau-w", "0.3",
-         "--horizon", "20000", "--seed", "2"],
-        capsys,
-    )
-    assert code == 0
-    _, rows = parse_csv(out)
-    assert len(rows) == 2
-    for row in rows:
-        assert float(row["age_analytic"]) > 0.0
-        assert abs(float(row["age_sim"]) - float(row["age_analytic"])) <= 5 * float(row["age_se"])
+    config = NetworkConfig(1, 1, 0.001)
+    lengths = config.slot_lengths()
+    for tau_d in (0.4, 0.0):  # both nodes send, or the DSRC node is silent
+        code, out = run_cli(["simulate", "--nd", "1", "--nw", "1", "--tau-d", str(tau_d), "--tau-w", "0.3",
+                             "--horizon", "20000", "--seed", "2"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 2
+        vector = AccessVector.homogeneous(config, StrategyPair(tau_d, 0.3))
+        for i, row in enumerate(rows):
+            # Each analytic cell is the public per-node value at 6 digits; a silent node has no age or moments.
+            values = dict.fromkeys(ANALYTIC, "")
+            values["throughput_analytic"] = f"{per_node_throughput(vector, lengths, i):.6g}"
+            if vector.taus[i] > 0.0:
+                moments = inter_update_moments(vector, lengths, i)
+                values.update(age_analytic=f"{aoi_node(vector, lengths, i):.6g}",
+                              ez_analytic=f"{moments.first:.6g}", ez2_analytic=f"{moments.second:.6g}")
+                assert float(row["age_analytic"]) > 0.0
+                assert abs(float(row["age_sim"]) - float(row["age_analytic"])) <= 5 * float(row["age_se"])
+            assert {column: row[column] for column in ANALYTIC} == values
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -316,6 +373,16 @@ def test_non_finite_or_oversized_grid_step_is_config_error(step, message, capsys
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", [["nash"], ["stackelberg"], ["metrics", "--tau-w", "0.2"]], ids=lambda c: c[0])
+def test_a_grid_ending_at_one_is_config_error(command, capsys):
+    # 0.5 + 2 * 0.25 = 1.0: hi is within the step ratio's tolerance of it
+    assert main(command + ["--grid-lo", "0.5", "--grid-hi", "0.9999999999", "--grid-step", "0.25"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid [0.5, 0.9999999999] in steps of 0.25 ends at 1.0, not below 1\n"
 
 
 def test_unallocatable_grid_is_runtime_error(monkeypatch, capsys):

@@ -48,6 +48,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(lo=0.01, hi=0.99, step=0.013)
 
+    def test_a_grid_ending_at_one_rejected(self):
+        # hi is within the step ratio's tolerance of 1.0, the last point lo + 2 * step
+        with pytest.raises(ValueError, match=r"ends at 1\.0, not below 1"):
+            GridSpec(lo=0.5, hi=0.9999999999, step=0.25)
+        assert GridSpec(lo=0.5, hi=0.9999999999, step=0.4999999999).points()[-1] < 1.0
+
     @pytest.mark.parametrize("k", range(1, 9))
     def test_fine_grids_are_whole_steps(self, k):
         # (hi - lo) / step near 1e7 carries more rounding than an absolute 1e-9; the grid is only constructed

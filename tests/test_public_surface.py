@@ -6,9 +6,9 @@ from dataclasses import fields
 import numpy as np
 
 import csma_game
-from csma_game import analysis, equilibrium, game, metrics, model, simulate
+from csma_game import analysis, cli, equilibrium, game, metrics, model, simulate
 
-# Scalar wrappers over the kernels and closed forms that only tests called.
+# Scalar wrappers over the kernels and closed forms that only tests called, and retired CLI helpers.
 REMOVED = {
     model: ("joint_idle_prob", "success_prob_total", "expected_slot_length"),
     metrics: ("aoi_closed_form", "throughput_closed_form"),
@@ -23,6 +23,8 @@ REMOVED = {
         "alpha2_root",
         "tau_prime_upper_bound",
     ),
+    # One game loop serves every game subcommand, and simulate reads the public per-node functions.
+    cli: ("_network", "_rescale_fn", "_nash_rows", "_age_and_moments"),
 }
 REMOVED_ATTRIBUTES = {
     model.NetworkConfig: ("n_total",),
