@@ -77,9 +77,8 @@ def enumerate_nash(surfaces: PayoffSurfaces) -> list[NashResult]:
     flat = np.flatnonzero(surfaces._br_dsrc)
     flat = flat[surfaces._br_wifi.take(flat)]  # in increasing order: lexicographic in (i, j)
     pts = surfaces.grid.points()
-    StrategyPair(float(pts.min()), float(pts.max()))  # so every pair of grid points is a valid one
     i, j = np.divmod(flat, pts.size)
-    # tuple.__new__ builds the records in C and skips StrategyPair's check, which the line above made.
+    # tuple.__new__ builds the records in C and skips StrategyPair's check: GridSpec puts every point in (0, 1).
     pairs = map(tuple.__new__, repeat(StrategyPair), zip(pts[i].tolist(), pts[j].tolist()))
     values = (surfaces.age.take(flat), surfaces.throughput.take(flat), *surfaces._payoffs(lambda a: a.take(flat)))
     rows = zip(pairs, *(v.tolist() for v in values))

@@ -74,16 +74,16 @@ def rescale_age(age: np.ndarray, throughput: np.ndarray) -> np.ndarray:
     """Increasing affine map of the age surface onto the throughput range.
 
     Endpoints of the age range land exactly on the endpoints of the
-    throughput range. A constant age surface maps to the throughput
-    minimum; a constant throughput range degenerates to a pure shift so the
-    map stays order-preserving.
+    throughput range. A finite constant age surface maps to the throughput
+    minimum and an all-infinite one to NaN; a constant throughput range
+    degenerates to a pure shift so the map stays order-preserving.
     """
     age_lo, age_hi = float(age.min()), float(age.max())
     thr_lo, thr_hi = float(throughput.min()), float(throughput.max())
-    if age_hi == age_lo:
-        return np.full_like(age, thr_lo)
-    slope = (thr_hi - thr_lo) / (age_hi - age_lo)
-    out = np.subtract(age, age_lo)
+    span = age_hi - age_lo  # NaN when every age is +inf
+    slope = (thr_hi - thr_lo) / span if span > 0.0 else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf: an all-infinite surface is NaN, the solvers raise
+        out = np.subtract(age, age_lo)
     if not slope <= 0.0:  # a slope <= 0 leaves a pure shift; a NaN one scales, to NaN
         out *= slope
     out += thr_lo
@@ -99,21 +99,18 @@ def rescale_age_per_opponent(age: np.ndarray, throughput: np.ndarray) -> np.ndar
     drowned out by costs in most columns; normalizing per column keeps age
     and cost comparable everywhere, which is what reproduces the reference
     equilibria of the costed game (including their multiplicity). Zero-cost
-    equilibria are unaffected by the choice of map.
+    equilibria are unaffected by the choice of map. A finite constant column
+    maps to the throughput minimum and an all-infinite one to NaN.
     """
     thr_lo, thr_hi = float(throughput.min()), float(throughput.max())
     lo = age.min(axis=0, keepdims=True)
     with np.errstate(invalid="ignore"):  # inf - inf and inf / inf: an infinite-age column is NaN, the solvers raise
         span = age.max(axis=0, keepdims=True) - lo
-        flat = ~(span > 0.0)  # a constant column, or one whose span is NaN
-        divisor = np.where(flat, 1.0, span)
         out = np.subtract(age, lo)  # mapped in place: the build holds no grid beyond its results
         if thr_hi != thr_lo:
             out *= thr_hi - thr_lo
-            out /= divisor
+            out /= np.where(span > 0.0, span, 1.0)  # a finite constant column is 0 and lands on thr_lo
         out += thr_lo
-        if thr_hi != thr_lo:
-            np.copyto(out, thr_lo, where=flat)
     return out
 
 

@@ -431,6 +431,9 @@ COSTED_400 = ["--nd", "400", "--nw", "400", "--preset", "costed", "--rescale", "
     ["nash", *COSTED_400],
     ["stackelberg", *COSTED_400, "--leader", "wifi"],
     ["stackelberg", *COSTED_400, "--leader", "dsrc"],  # the WiFi follower answers; the leader's values are NaN
+    ["nash", "--nd", "80000", "--nw", "1"],  # every age is +inf: the range map gives NaN, not one constant
+    ["stackelberg", "--nd", "80000", "--nw", "1", "--leader", "dsrc"],
+    ["nash", "--nd", "2", "--nw", "400", "--preset", "costed", "--rescale", "per-opponent"],  # 17 +inf columns
 ])
 def test_non_finite_payoff_surface_is_runtime_error(argv, capsys):
     message = "worst payoff is NaN" if argv[-1] == "dsrc" else "no best response"

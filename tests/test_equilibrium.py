@@ -277,7 +277,7 @@ def any_game(n_dsrc, n_wifi, costed=False, grid=None):
 
 # Games whose DSRC payoff is not finite in some tau_w columns, with the number of those columns.
 NON_FINITE_GAMES = [
-    (400, 400, False, 99), (400, 400, True, 82), (400, 1, False, 99),
+    (400, 400, False, 99), (400, 400, True, 99), (400, 1, False, 99),
     (1, 400, False, 17), (150, 150, False, 85), (300, 2, True, 99),
 ]
 NON_FINITE_IDS = ["400x400", "400x400-costed", "400x1", "1x400", "150x150", "300x2-costed"]

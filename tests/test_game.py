@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cells import cells_at, index_of
@@ -61,6 +61,18 @@ class TestGridSpec:
         assert GridSpec(lo=step, hi=1.0 - step, step=step).n_points == 10**k - 1
         with pytest.raises(ValueError, match="integer number of steps"):
             GridSpec(lo=0.1, hi=0.5, step=0.3)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 1000), st.floats(0.0, 1e-10))
+    @settings(max_examples=300)
+    def test_accepted_points_lie_in_the_open_unit_interval(self, lo, frac, k, shave):
+        # lo + k * step lies in [lo, 1], and hi up to the step tolerance below it: below 1 while that point is not
+        step = (1.0 - lo) * frac / k
+        try:
+            grid = GridSpec(lo, (lo + k * step) * (1.0 - shave), step)
+        except ValueError:
+            assume(False)
+        pts = grid.points()
+        assert ((0.0 < pts) & (pts < 1.0)).all()
 
     @pytest.mark.parametrize("step, message", [
         (float("inf"), "grid step must be positive and finite, got inf"),
@@ -137,12 +149,41 @@ class TestRescaleMaps:
         out = rescale_age_per_opponent(age, thr)
         assert np.all(out[:, 0] == 0.1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_all_infinite_surface_maps_to_nan(self):
+        # a constant surface, but not a finite one: no payoff may be made of it
+        thr = np.linspace(0.1, 0.9, 9).reshape(3, 3)
+        assert np.isnan(rescale_age(np.full((3, 3), np.inf), thr)).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_per_opponent_all_infinite_column_maps_to_nan(self):
+        age = np.array([[np.inf, 2.0, 3.0, 50.0], [np.inf, 11.0, 3.0, 7.0], [np.inf, 5.0, 3.0, 1000.0]])
+        thr = np.array([[0.1, 0.4, 0.2, 0.3], [0.2, 0.3, 0.15, 0.25], [0.35, 0.1, 0.4, 0.2]])
+        out = rescale_age_per_opponent(age, thr)
+        assert np.isnan(out[:, 0]).all()
+        assert np.all(out[:, 2] == 0.1)
+        assert out[:, 1:].tobytes() == rescale_age_per_opponent(age[:, 1:], thr).tobytes()
+
+
+@st.composite
+def age_grids(draw):
+    """Up to 6x6 ages of finite and +inf cells, some columns constant (finite or +inf), and a throughput grid."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cell = st.one_of(st.floats(1.0, 1e12), st.just(np.inf))
+    age = np.array(draw(st.lists(cell, min_size=n_rows * n_cols, max_size=n_rows * n_cols)))
+    age = age.reshape(n_rows, n_cols)
+    for j in draw(st.sets(st.integers(0, n_cols - 1))):
+        age[:, j] = draw(cell)
+    thr = draw(st.lists(st.floats(0.0, 1.0), min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    thr = np.full(age.shape, thr[0]) if draw(st.booleans()) else np.array(thr).reshape(age.shape)
+    return age, thr
+
 
 def whole_array_rescale_age(age, throughput):
     """``rescale_age`` as whole-array expressions, kept as the in-place map's oracle."""
     age_lo, age_hi = float(age.min()), float(age.max())
     thr_lo, thr_hi = float(throughput.min()), float(throughput.max())
-    if age_hi == age_lo:
+    if age_hi == age_lo and np.isfinite(age_hi):
         return np.full_like(age, thr_lo)
     slope = (thr_hi - thr_lo) / (age_hi - age_lo)
     if slope <= 0.0:
@@ -158,7 +199,7 @@ def whole_array_rescale_age_per_opponent(age, throughput):
     if thr_hi == thr_lo:
         return age - lo + thr_lo
     safe = np.where(span > 0.0, span, 1.0)
-    return np.where(span > 0.0, thr_lo + (thr_hi - thr_lo) * (age - lo) / safe, thr_lo)
+    return np.where(span == 0.0, thr_lo, thr_lo + (thr_hi - thr_lo) * (age - lo) / safe)
 
 
 def raw_surfaces(nd, nw, grid):
@@ -192,6 +233,17 @@ class TestInPlaceRescale:
         with np.errstate(invalid="ignore"):
             got, want = rescale(age, thr), oracle(age, thr)
         assert got.tobytes() == want.tobytes()
+
+    @given(age_grids())
+    @settings(max_examples=300)
+    def test_maps_equal_their_oracles_and_keep_infinite_ages_non_finite(self, grids):
+        age, thr = grids
+        for rescale, oracle in ((rescale_age, whole_array_rescale_age),
+                                (rescale_age_per_opponent, whole_array_rescale_age_per_opponent)):
+            with np.errstate(invalid="ignore"):
+                got, want = rescale(age, thr), oracle(age, thr)
+            assert got.tobytes() == want.tobytes()
+            assert not np.isfinite(got[np.isinf(age)]).any()
 
     def test_per_opponent_build_holds_no_extra_grid(self):
         cfg = NetworkConfig(20, 20, 0.004, w_idle=0.004, w_col=1.004)
