@@ -3,8 +3,8 @@
 Everything here works on the finite strategy grid: Nash enumeration scans
 every grid pair for mutual best responses (so multiple equilibria are found,
 not just one), and the Stackelberg leader maximizes its worst payoff over the
-follower's tied best responses. Lone-network optima additionally refine off
-the grid.
+follower's tied best responses. A lone-network optimum is off the grid: the
+root of its payoff slope, clamped to the grid's bounds.
 
 A best response is an exact maximum of the responder's payoff against one
 opponent strategy, and all tied maxima are kept (a constant column yields
@@ -24,12 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .analysis import _NEWTON_TOL, _age_slope_parts, _wifi_slope
 from .game import GridSpec, PayoffSurfaces
 from .metrics import _aoi_expr, _throughput_expr
-from .model import DSRC, WIFI, NetworkConfig, StrategyPair, _Axis, _Cells, _require_player
-
-# Spacing of the last subdivision of a lone-network optimum.
-_REFINE = 1e-5
+from .model import DSRC, NetworkConfig, StrategyPair, _Axis, _Cells, _require_player
 
 
 class NashResult(NamedTuple):
@@ -123,11 +121,11 @@ def single_network_optimum(
 ) -> SingleNetworkOptimum:
     """Best strategy for a network that has the medium to itself.
 
-    Coarse scan over the grid, then repeated local subdivision around the
-    incumbent down to ``_REFINE`` resolution, never leaving [grid.lo, grid.hi]
-    (optima can sit clamped on the boundary). Raises FloatingPointError when
-    the optimum value is not finite, as when (1-tau)^n underflows for a very
-    large n.
+    tau* is the root of the loss's slope (``_age_slope_parts``, or ``_wifi_slope`` of the negated throughput,
+    against an absent opponent), clamped to [grid.lo, grid.hi]. The slope is negative near 0 and positive at 1/n:
+    one bisection of [0, min(grid.hi, 1/n)] keeps the root's upper bound until the bracket is ``_NEWTON_TOL`` wide
+    or lies below grid.lo. There (1-tau)^n >= 1/4 and tau > 5e-13, so no factor of a slope underflows. ``value`` is
+    the closed form at tau*; FloatingPointError when it is not finite and positive, as when (1-tau)^n underflows.
     """
     _require_player(kind)
     if n < 1:
@@ -136,30 +134,23 @@ def single_network_optimum(
     NetworkConfig(n_dsrc=n, n_wifi=0, beta=beta)  # rejects beta outside (0, 1)
     absent = _Axis(0.0, 0)
 
-    @np.errstate(divide="ignore", over="ignore")  # (1-tau)^n underflows at large n: +inf, which argmin skips
-    def loss(taus):
-        own = _Axis(taus, n)
-        return _aoi_expr(_Cells(own, absent, beta)) if kind == DSRC else -_throughput_expr(_Cells(absent, own, beta))
+    def slope(tau):  # on plain floats: the bisection's steps are its whole cost
+        own = _Axis(tau, n)
+        if kind == DSRC:
+            alpha1, alpha2 = _age_slope_parts(_Cells(own, absent, beta))
+            return alpha1 + alpha2
+        return _wifi_slope(_Cells(absent, own, beta))
 
-    pts = grid.points()
-    k = int(np.argmin(loss(pts)))
-    lo = max(grid.lo, float(pts[k]) - grid.step)
-    hi = min(grid.hi, float(pts[k]) + grid.step)
-    while True:
-        xs = np.linspace(lo, hi, 41)
-        vs = loss(xs)
-        k = int(np.argmin(vs))
-        if xs[1] - xs[0] <= _REFINE:
-            tau_star = float(xs[k])
-            value = float(vs[k])
-            break
-        lo = max(grid.lo, float(xs[max(k - 1, 0)]))
-        hi = min(grid.hi, float(xs[min(k + 1, len(xs) - 1)]))
-    if kind == WIFI:
-        value = -value
-    if not math.isfinite(value):
-        raise FloatingPointError(
-            f"lone {kind} network with n={n}: the optimum value is {value}, "
-            "because (1-tau)^n underflows on the grid"
-        )
+    lo, hi = 0.0, min(grid.hi, 1.0 / n)
+    while hi > grid.lo and hi - lo > _NEWTON_TOL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+    tau_star = max(hi, grid.lo)
+    with np.errstate(divide="ignore", over="ignore"):  # (1-tau)^n underflows at large n: an infinite age
+        own = _Axis(np.float64(tau_star), n)
+        c = _Cells(own, absent, beta) if kind == DSRC else _Cells(absent, own, beta)
+        value = float(_aoi_expr(c) if kind == DSRC else _throughput_expr(c))
+    if not 0.0 < value < math.inf:  # at tau* > 0, a throughput of 0 is an underflow
+        raise FloatingPointError(f"lone {kind} network with n={n}: the optimum value is {value}, "
+                                 "because (1-tau)^n underflows on the grid")
     return SingleNetworkOptimum(kind=kind, n=n, tau_star=tau_star, value=value)

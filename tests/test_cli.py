@@ -691,14 +691,15 @@ def test_verify_scans_a_lone_network_against_an_absent_opponent(capsys):
     assert {(r["sign_changes"], r["pattern_ok"], r["alpha2_root"]) for r in rows} == {("1", "true", "0.0306386")}
 
 
-@pytest.mark.parametrize("n, code, out", [
-    ("2000", 0, "kind,n,tau_star,value\ndsrc,2000,0.01,5.31716e+10\n"),
-    ("100000", 2, ""),
-], ids=["finite", "overflowing"])
-def test_large_lone_network_optimum_prints_no_warning(n, code, out):
+@pytest.mark.parametrize("kind, n, code, out", [
+    ("dsrc", "2000", 0, "kind,n,tau_star,value\ndsrc,2000,0.01,5.31716e+10\n"),
+    ("dsrc", "100000", 2, ""),
+    ("wifi", "100000", 2, ""),  # its throughput, about 1e-439, underflows to 0
+], ids=["finite", "overflowing", "wifi-underflowing"])
+def test_large_lone_network_optimum_prints_no_warning(kind, n, code, out):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = ["optimum", "--kind", "dsrc", "--n", n]
+    argv = ["optimum", "--kind", kind, "--n", n]
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "csma_game.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (code, out)

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -405,6 +406,42 @@ class TestRowBlockSweep:
         assert peak <= surf._br_dsrc.nbytes + surf._br_wifi.nbytes + (1 << 20)
 
 
+def lone_loss(kind, n, beta, tau):
+    """Test-side loss of a lone network at a real or complex tau: its age (dsrc) or its negated throughput (wifi).
+
+    In the renewal cycle's ratio form, as ``ratio_form_moments`` in tests/test_metrics.py: a slot is idle with
+    probability ``idle`` and lasts beta, or busy and lasts 1 + beta, and a given node succeeds with probability p.
+    """
+    idle = (1 - tau) ** n
+    p = tau * (1 - tau) ** (n - 1)
+    cycle = beta * idle + (1 + beta) * (1 - idle)
+    if kind == WIFI:
+        return -(1 + beta) * p / cycle
+    cycle_sq = beta**2 * idle + (1 + beta) ** 2 * (1 - idle)
+    return cycle / p + cycle_sq / (2 * cycle)
+
+
+def lone_slope(kind, n, beta, tau, h=1e-30):
+    """The loss's derivative by complex step: no difference quotient, so no cancellation of nearby values."""
+    return lone_loss(kind, n, beta, tau + 1j * h).imag / h
+
+
+def lone_root(kind, n, beta):
+    """Bisection of [0, 1/n] on the sign of ``lone_slope``; it ends near 1 where the slope stays negative (n = 1)."""
+    lo, hi = 0.0, 1.0 / n
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if lone_slope(kind, n, beta, mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+# A pre-declared list of lone networks. Against the default grid most roots at n >= 10 are clamped to 0.01;
+# the fine grid leaves them inside.
+LONE_NS = (1, 2, 3, 4, 5, 7, 10, 16, 30, 64, 100, 250, 500, 1000)
+LONE_BETAS = (1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.6, 0.9, 0.999)
+LONE_GRIDS = (GridSpec(), GridSpec(lo=1e-5, hi=0.99999, step=1e-5))
+
+
 class TestSingleNetworkOptimum:
     def test_pinned_dsrc_optima(self):
         res = single_network_optimum(DSRC, 2, 0.001)
@@ -421,7 +458,56 @@ class TestSingleNetworkOptimum:
 
     def test_interior_optimum_matches_first_order_root(self):
         res = single_network_optimum(WIFI, 2, 0.001)
-        assert abs(res.tau_star - _alpha2_root(2, 0.001, np.ones(1))[0]) <= 1e-4
+        assert abs(res.tau_star - _alpha2_root(2, 0.001, np.ones(1))[0]) <= 1e-12
+
+    @pytest.mark.parametrize("kind", [DSRC, WIFI])
+    def test_tau_star_is_the_clamped_test_side_root(self, kind):
+        failures, inside = [], 0
+        for n, beta in product(LONE_NS, LONE_BETAS):
+            root = lone_root(kind, n, beta)
+            for grid in LONE_GRIDS:
+                res = single_network_optimum(kind, n, beta, grid=grid)
+                expected = min(max(root, grid.lo), grid.hi)
+                if abs(expected - root) > 1e-10:  # clamped: the bound itself, bit for bit
+                    ok = res.tau_star == expected
+                else:
+                    ok = abs(res.tau_star - root) <= 1e-10
+                    inside += 1
+                sign = 1.0 if kind == DSRC else -1.0
+                if not ok or res.value != pytest.approx(sign * lone_loss(kind, n, beta, res.tau_star), rel=1e-12):
+                    failures.append((n, beta, grid.lo, res.tau_star, root, res.value))
+        assert not failures
+        assert inside >= 150  # of 308 cases: the roots themselves are compared, not only the clamps
+
+    @pytest.mark.parametrize("kind", [DSRC, WIFI])
+    def test_test_side_slope_changes_sign_once_at_most_one_over_n(self, kind):
+        taus = np.geomspace(1e-12, 1.0 - 1e-9, 20_001)
+        for n, beta in product(LONE_NS, LONE_BETAS):
+            with np.errstate(all="ignore"):  # (1-tau)^n underflows near 1 at large n: those points take no part
+                slopes = lone_slope(kind, n, beta, taus)
+            kept = np.isfinite(slopes) & (slopes != 0.0)
+            signs = np.sign(slopes[kept])
+            changes = np.flatnonzero(signs[1:] != signs[:-1])
+            assert signs[0] < 0.0, (n, beta)
+            if n == 1:  # the loss falls all the way to 1: the clamp to grid.hi
+                assert changes.size == 0, (n, beta)
+                continue
+            crossing = taus[kept][changes]
+            assert signs[-1] > 0.0 and crossing[-1] < 1.0 / n, (n, beta)
+            assert lone_slope(kind, n, beta, 1.0 / n) > 0.0, (n, beta)
+            # One crossing. At beta = 1e-12 and n >= 100 the root is below 2e-8, where 1 - tau keeps only 8 digits
+            # of tau: there the test-side slope's rounding flips its sign a few times within 3% of the root.
+            assert changes.size == 1 or (beta == 1e-12 and n >= 100 and crossing[0] > crossing[-1] / 1.03), (n, beta)
+
+    @pytest.mark.parametrize("kind", [DSRC, WIFI])
+    @pytest.mark.parametrize("beta", [1e-17, 1e-300])
+    def test_a_loss_flat_to_rounding_still_gives_its_optimum_value(self, kind, beta):
+        # With 1 + beta == 1 the lone node's slope rounds to >= 0, so tau* is not determined; the loss is flat to
+        # rounding along the grid, and the value is that of the true optimum, grid.hi.
+        res = single_network_optimum(kind, 1, beta)
+        sign = 1.0 if kind == DSRC else -1.0
+        assert res.value == pytest.approx(sign * lone_loss(kind, 1, beta, 0.99), rel=1e-14)
+        assert res.value == pytest.approx(sign * lone_loss(kind, 1, beta, res.tau_star), rel=1e-14)
 
     def test_boundary_clamp(self):
         res = single_network_optimum(WIFI, 10, 0.001)

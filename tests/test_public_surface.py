@@ -13,7 +13,8 @@ REMOVED = {
     model: ("joint_idle_prob", "success_prob_total", "expected_slot_length"),
     metrics: ("aoi_closed_form", "throughput_closed_form"),
     game: ("wastage_cost",),
-    equilibrium: ("best_response", "BestResponseMap"),
+    # The lone-network subdivision's spacing: the optimum is the root of the payoff slope.
+    equilibrium: ("best_response", "BestResponseMap", "_REFINE"),
     analysis: (
         "age_payoff_derivative_terms",
         "wifi_payoff_derivative_terms",
@@ -40,7 +41,8 @@ REMOVED_ATTRIBUTES = {
 # The scan's report holds its results only, not its inputs echoed back.
 REPORT_FIELDS = ("fixed_opponent", "sign_change_count", "sign_pattern_ok", "tau_prime_bound", "alpha2_root")
 # Tolerances that no caller set: a best response is an exact maximum, and the
-# Newton and refinement tolerances are module constants.
+# Newton tolerance, where the lone-network bisection also stops, is a module
+# constant.
 RETIRED_PARAMETERS = {
     equilibrium.enumerate_nash: "eps_tie",
     equilibrium.solve_stackelberg: "eps_tie",
