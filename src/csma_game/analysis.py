@@ -3,15 +3,15 @@
 Each player's negated payoff has a closed-form derivative in its own strategy
 that splits into named terms: a curvature term from the busy-slot ratio, a
 dominant term from the update rate (age side only), and the cost
-contributions of collisions and idling. ``verify_quasiconcavity`` scans the
-derivative at the multiples of a step along one strategy axis, against many
-opponent values at once, and checks the sign pattern of a unimodal payoff:
-non-positive then non-negative, with at most one sign change; exact zeros
-take no part. Both players' scans fail where the opponent's (1-tau)^n
-underflows to 0. A DSRC report also carries two landmarks: the opponent-free
-bound on where the curvature term's denominator reaches one, and the
-update-rate term's root. All terms combine the per-axis contention factors of
-:mod:`~csma_game.model`; the cost terms of both players share one formula.
+contributions of collisions and idling; ``_payoff_slope`` sums them, on
+floats or arrays, for ``verify_quasiconcavity`` and the lone-network optimum.
+The scan takes the multiples of a step along one axis against many opponent
+values at once and checks the sign pattern of a unimodal payoff: non-positive
+then non-negative, with at most one sign change; exact zeros take no part.
+Both players' scans fail where the opponent's (1-tau)^n underflows to 0. A
+DSRC report also carries two landmarks: the opponent-free bound on where the
+curvature term's denominator reaches one, and the update-rate term's root.
+Every term reads the per-axis contention factors of :mod:`~csma_game.model`.
 """
 
 from __future__ import annotations
@@ -64,6 +64,19 @@ def _wifi_slope(c: _Cells):
     return d.q * (1.0 + beta) * w.r2 * (c.p_idle + (1.0 + beta) * (w.tau * w.n - 1.0)) / c.mean_length**2
 
 
+def _payoff_slope(player: str, own: _Axis, opp: _Axis, config: NetworkConfig):
+    """d(-payoff)/d(own tau) of ``player`` at ``own`` against ``opp``, plus the cost terms; on floats or arrays."""
+    if player == DSRC:
+        alpha1, alpha2 = _age_slope_parts(_Cells(own, opp, config.beta))
+        slope = alpha1 + alpha2
+    else:
+        slope = _wifi_slope(_Cells(opp, own, config.beta))
+    if config.w_col or config.w_idle:  # zero weights add +-0.0, which changes no sign
+        a_col, a_idle = _cost_slope_parts(own, opp, config)
+        slope = slope + a_col - a_idle
+    return slope
+
+
 def _tau_prime_bound(beta: float, n_d: int) -> float | None:
     """Opponent-free upper bound on the tau_d at which the curvature term's
     denominator reaches one; None when no such point exists in (0, 1)."""
@@ -85,7 +98,8 @@ def _alpha2_root(n_d: int, beta: float, q_w: np.ndarray) -> np.ndarray:
     for _ in range(_NEWTON_STEPS):
         one = 1.0 - t
         s_r1 = s * one ** (n_d - 1)
-        step = (1.0 - n_d * t - s_r1 * one) / (n_d - n_d * s_r1)  # -g(t) / g'(t)
+        drop = n_d - n_d * s_r1  # -g'(t); 0 at n_d = 1 when 1 + beta rounds to 1: t = 1 stays, the beta -> 0 root
+        step = np.divide(1.0 - n_d * t - s_r1 * one, drop, out=np.zeros_like(t), where=drop != 0.0)  # -g(t) / g'(t)
         t = np.where(moving, t + step, t)
         moving &= np.abs(step) > _NEWTON_TOL
         if not moving.any():
@@ -129,16 +143,10 @@ def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, step: f
     if pts.size < 2:  # no pair of neighbours, so no sign change could show
         raise ValueError(f"the scan keeps {pts.size} point(s) inside [{_EDGE_MARGIN}, {1.0 - _EDGE_MARGIN}], "
                          "too few to show a sign change")
-    own = _Axis(pts, own_n)
-    if dsrc:
-        with np.errstate(divide="ignore", over="ignore"):  # the own (1-tau_d)^n_d underflows: a +inf rate term
-            totals = np.add(*_age_slope_parts(_Cells(own, opp, config.beta)))
-        bound, roots = _tau_prime_bound(config.beta, own_n), _alpha2_root(own_n, config.beta, opp.q[:, 0]).tolist()
-    else:
-        totals, bound, roots = _wifi_slope(_Cells(opp, own, config.beta)), None, [None] * values.size
-    if config.w_col or config.w_idle:  # zero weights add +-0.0, which changes no sign
-        a_col, a_idle = _cost_slope_parts(own, opp, config)
-        totals = totals + a_col - a_idle
+    with np.errstate(divide="ignore", over="ignore"):  # a DSRC scan's own (1-tau_d)^n_d underflows: a +inf rate term
+        totals = _payoff_slope(player, _Axis(pts, own_n), opp, config)
+    bound = _tau_prime_bound(config.beta, own_n) if dsrc else None
+    roots = _alpha2_root(own_n, config.beta, opp.q[:, 0]).tolist() if dsrc else [None] * values.size
     signs = np.sign(totals)
     changes, rows = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1).tolist(), list(signs)
     for r in np.flatnonzero(~(np.abs(totals) > 0.0).all(axis=1)):  # its exact zeros and NaN take no part

@@ -214,7 +214,8 @@ def _run_stackelberg(opt: _Options):
 
 def _run_optimum(opt: _Options):
     kinds = _players(opt, "kind")
-    grid = _grid(opt)
+    lo, hi = opt.number("grid_lo"), opt.number("grid_hi")  # the optimum reads only the bounds
+    grid = GridSpec(lo=lo, hi=hi, step=hi - lo or 1.0)  # one step, any when lo == hi: GridSpec checks the bounds
     beta = opt.number("beta")
     rows = []
     for k, n in product(kinds, sorted(set(opt.numbers("n", int)))):
@@ -309,7 +310,7 @@ _COMMANDS = {
     "nash": (_run_nash, _GAME_FLAGS),
     "sweep": (lambda opt: _run_nash(opt, sweep=True), _GAME_FLAGS),
     "stackelberg": (_run_stackelberg, _GAME_FLAGS + ("leader",)),
-    "optimum": (_run_optimum, ("beta", "grid_lo", "grid_hi", "grid_step", "format", "out", "config", "kind", "n")),
+    "optimum": (_run_optimum, ("beta", "grid_lo", "grid_hi", "format", "out", "config", "kind", "n")),
     "verify": (_run_verify, ("nd", "nw", "beta", "w_idle", "w_col", "format", "out", "preset", "config",
                              "player", "tau_opp", "scan_step")),
     "simulate": (_run_simulate, ("nd", "nw", "beta", "format", "out", "config",

@@ -4,7 +4,7 @@ Everything here works on the finite strategy grid: Nash enumeration scans
 every grid pair for mutual best responses (so multiple equilibria are found,
 not just one), and the Stackelberg leader maximizes its worst payoff over the
 follower's tied best responses. A lone-network optimum is off the grid: the
-root of its payoff slope, clamped to the grid's bounds.
+root of ``analysis._payoff_slope`` with no opponent, clamped to [lo, hi].
 
 A best response is an exact maximum of the responder's payoff against one
 opponent strategy, and all tied maxima are kept (a constant column yields
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import _NEWTON_TOL, _age_slope_parts, _wifi_slope
+from .analysis import _NEWTON_TOL, _payoff_slope
 from .game import GridSpec, PayoffSurfaces
 from .metrics import _aoi_expr, _throughput_expr
 from .model import DSRC, NetworkConfig, StrategyPair, _Axis, _Cells, _require_player
@@ -121,9 +121,9 @@ def single_network_optimum(
 ) -> SingleNetworkOptimum:
     """Best strategy for a network that has the medium to itself.
 
-    tau* is the root of the loss's slope (``_age_slope_parts``, or ``_wifi_slope`` of the negated throughput,
-    against an absent opponent), clamped to [grid.lo, grid.hi]. The slope is negative near 0 and positive at 1/n:
-    one bisection of [0, min(grid.hi, 1/n)] keeps the root's upper bound until the bracket is ``_NEWTON_TOL`` wide
+    tau* is the root of the loss's slope, ``_payoff_slope`` against an absent opponent, clamped to [grid.lo,
+    grid.hi]; ``grid`` is read for these bounds only. The slope is negative near 0 and positive at 1/n: one bisection
+    of [0, min(grid.hi, 1/n)] on plain floats keeps the root's upper bound until the bracket is ``_NEWTON_TOL`` wide
     or lies below grid.lo. There (1-tau)^n >= 1/4 and tau > 5e-13, so no factor of a slope underflows. ``value`` is
     the closed form at tau*; FloatingPointError when it is not finite and positive, as when (1-tau)^n underflows.
     """
@@ -131,20 +131,12 @@ def single_network_optimum(
     if n < 1:
         raise ValueError("the lone network needs at least one node")
     grid = grid if grid is not None else GridSpec()
-    NetworkConfig(n_dsrc=n, n_wifi=0, beta=beta)  # rejects beta outside (0, 1)
+    config = NetworkConfig(n_dsrc=n, n_wifi=0, beta=beta)  # rejects beta outside (0, 1); its weights are zero
     absent = _Axis(0.0, 0)
-
-    def slope(tau):  # on plain floats: the bisection's steps are its whole cost
-        own = _Axis(tau, n)
-        if kind == DSRC:
-            alpha1, alpha2 = _age_slope_parts(_Cells(own, absent, beta))
-            return alpha1 + alpha2
-        return _wifi_slope(_Cells(absent, own, beta))
-
     lo, hi = 0.0, min(grid.hi, 1.0 / n)
     while hi > grid.lo and hi - lo > _NEWTON_TOL:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+        lo, hi = (mid, hi) if _payoff_slope(kind, _Axis(mid, n), absent, config) < 0.0 else (lo, mid)
     tau_star = max(hi, grid.lo)
     with np.errstate(divide="ignore", over="ignore"):  # (1-tau)^n underflows at large n: an infinite age
         own = _Axis(np.float64(tau_star), n)

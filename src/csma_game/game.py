@@ -1,9 +1,9 @@
-"""Strategic layer: wastage cost, payoff surfaces, and age rescaling.
+"""Strategic layer: payoff surfaces and age rescaling.
 
-Both networks pay the same wastage cost for idle and collided slots. The
-age player maximizes -age - cost and the throughput player maximizes
-throughput - cost. Because age and throughput live on very different
-scales, the age surface is mapped onto the throughput range by an
+Both networks pay the same wastage cost (``metrics._cost_expr``) for idle
+and collided slots. The age player maximizes -age - cost and the throughput
+player maximizes throughput - cost. Because age and throughput live on very
+different scales, the age surface is mapped onto the throughput range by an
 increasing affine map before it enters the payoff; all reported age and
 throughput values stay in raw physical units.
 """
@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .metrics import _aoi_expr, _throughput_expr
+from .metrics import _aoi_expr, _cost_expr, _throughput_expr
 from .model import NetworkConfig, _Axis, _Cells
 
 RescaleFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -57,17 +57,6 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         return self.lo + self.step * np.arange(self.n_points)
-
-
-def _cost_expr(c, config: NetworkConfig, out=None):
-    """Wastage cost on the shared factors ``c`` of a ``_Cells``, written into ``out`` if given."""
-    if not config.w_col:  # with a zero weight the finite collision term adds +-0.0, which changes no bit
-        return np.multiply(config.w_idle, c.p_idle, out=out)
-    cost = np.subtract(c.busy, c.d.one_sender * c.w.q, out=out)
-    cost -= c.w.one_sender * c.d.q
-    cost *= config.w_col
-    cost += config.w_idle * c.p_idle  # no term is NaN, so the sum commutes bit for bit
-    return cost
 
 
 def rescale_age(age: np.ndarray, throughput: np.ndarray) -> np.ndarray:

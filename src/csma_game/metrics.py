@@ -5,12 +5,12 @@ not its success followed by one that is; its long-run time-average age
 follows from the first two moments of Z (Kaul, Yates & Gruteser, INFOCOM
 2012). Age and throughput each have one closed form, ``_aoi_expr`` and
 ``_throughput_expr``, on a node's success probability, the busy probability
-and beta. The game layer evaluates them on the per-axis contention factors
-of a :mod:`~csma_game.model` ``_Cells``, as numpy arrays over whole strategy
-grids; the per-node functions evaluate them on one node of an arbitrary
-heterogeneous :class:`~csma_game.model.AccessVector`, as plain floats read
-from its one cached kernel pass, and take the inter-update moments from the
-age.
+and beta; the game's wastage cost has ``_cost_expr``. The game layer evaluates
+all three on the per-axis contention factors of a :mod:`~csma_game.model`
+``_Cells``, as numpy arrays over whole strategy grids; the per-node functions
+evaluate age and throughput on one node of an arbitrary heterogeneous
+:class:`~csma_game.model.AccessVector`, as plain floats read from its one
+cached kernel pass, and take the inter-update moments from the age.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AccessVector, SlotLengths
+from .model import AccessVector, NetworkConfig, SlotLengths
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,8 @@ def aoi_node(v: AccessVector, s: SlotLengths, i: int) -> float:
     return _age_and_moments(v, s, i)[0]
 
 
-# The closed forms, with idle slots of beta and success/collision slots of
-# 1 + beta, on the factors of a ``_Cells`` or a ``_Node``. Grid cells are numpy
-# arrays, the result written into ``out`` if given; a node is floats.
+# The closed forms, with idle slots of beta and the others of 1 + beta, on a ``_Cells`` (age and throughput also on
+# a ``_Node``): grid cells are numpy arrays, the result written into ``out`` if given; a node is floats.
 
 
 def _throughput_expr(c, out=None):
@@ -112,3 +111,14 @@ def _aoi_expr(c, out=None):
     tail /= c.mean_length
     rate += tail
     return rate
+
+
+def _cost_expr(c, config: NetworkConfig, out=None):
+    """Wastage cost of a ``_Cells``: ``w_idle`` per idle and ``w_col`` per collision probability."""
+    if not config.w_col:  # with a zero weight the finite collision term adds +-0.0, which changes no bit
+        return np.multiply(config.w_idle, c.p_idle, out=out)
+    cost = np.subtract(c.busy, c.d.one_sender * c.w.q, out=out)
+    cost -= c.w.one_sender * c.d.q
+    cost *= config.w_col
+    cost += config.w_idle * c.p_idle  # no term is NaN, so the sum commutes bit for bit
+    return cost

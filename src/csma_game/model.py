@@ -194,9 +194,9 @@ class _Cells:
     def __init__(self, d: _Axis, w: _Axis, beta: float):
         self.d, self.w, self.beta = d, w, beta
         self.p_idle = d.q * w.q  # nobody transmits
+        self.busy = 1.0 - self.p_idle
+        self.mean_length = self.busy + beta  # beta idle, 1+beta busy
 
-    busy = cached_property(lambda self: 1.0 - self.p_idle)
-    mean_length = cached_property(lambda self: self.busy + self.beta)  # beta idle, 1+beta busy
     # One given DSRC (WiFi) node alone transmits; a value of its own on each read, which the closed forms reuse.
     succ_d = property(lambda self: self.d.solo * self.w.q)
     succ_w = property(lambda self: self.w.solo * self.d.q)

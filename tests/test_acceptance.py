@@ -20,8 +20,15 @@ from csma_game.analysis import (
     verify_quasiconcavity,
 )
 from csma_game.equilibrium import enumerate_nash, single_network_optimum, solve_stackelberg
-from csma_game.game import _cost_expr, build_surfaces, rescale_age_per_opponent
-from csma_game.metrics import _aoi_expr, _throughput_expr, aoi_node, inter_update_moments, per_node_throughput
+from csma_game.game import build_surfaces, rescale_age_per_opponent
+from csma_game.metrics import (
+    _aoi_expr,
+    _cost_expr,
+    _throughput_expr,
+    aoi_node,
+    inter_update_moments,
+    per_node_throughput,
+)
 from csma_game.model import DSRC, WIFI, AccessVector, NetworkConfig, SlotLengths, StrategyPair
 from csma_game.simulate import SimConfig, run_simulation
 

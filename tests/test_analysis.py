@@ -25,8 +25,7 @@ from csma_game.analysis import (
     _wifi_slope,
     verify_quasiconcavity,
 )
-from csma_game.game import _cost_expr
-from csma_game.metrics import _aoi_expr, _throughput_expr
+from csma_game.metrics import _aoi_expr, _cost_expr, _throughput_expr
 from csma_game.model import DSRC, WIFI, NetworkConfig, StrategyPair, _Axis
 
 EPS = np.finfo(float).eps
@@ -194,6 +193,12 @@ class TestAlpha2Root:
         root = root_at(2, 0.001)
         assert root == pytest.approx(oracle, abs=1e-9)
         assert root == pytest.approx(0.030639, abs=1e-6)
+
+    def test_a_beta_lost_to_rounding_keeps_the_lone_node_root(self):
+        # 1 + 1e-17 rounds to 1, so at n_d = 1 and t = 1 Newton's step is 0/0: it takes none, and t = 1 is the
+        # beta -> 0 root of (1-t)(1-s)
+        with np.errstate(all="raise"):
+            assert _alpha2_root(1, 1e-17, np.ones(1))[0] == 1.0
 
     def test_term_vanishes_at_root(self):
         for n_d in (2, 3, 5):

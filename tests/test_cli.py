@@ -8,9 +8,10 @@ import warnings
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from csma_game import cli
+from csma_game import analysis, cli
 from csma_game.cli import main
 from csma_game.metrics import aoi_node, inter_update_moments, per_node_throughput
 from csma_game.model import DSRC, WIFI, AccessVector, NetworkConfig, StrategyPair
@@ -486,6 +487,7 @@ SIMULATE = ["simulate", "--nd", "1", "--nw", "1", "--tau-d", "0.3", "--tau-w", "
 @pytest.mark.parametrize("argv", [
     ["metrics", "--leader", "dsrc"], [], ["bogus"], ["nash", "--eps-tie", "0"],
     ["optimum", "--n", "2", "--nd", "7"],
+    ["optimum", "--n", "2", "--grid-step", "0.5"],
     ["metrics", "--nd", "1", "--nw", "1", "--tau-w", "0.2", "--preset", "costed"],
     ["verify", "--nd", "2", "--nw", "2", "--grid-step", "0.3"],
     SIMULATE + ["--grid-step", "0.5"],
@@ -657,7 +659,8 @@ def test_verify_scans_once_per_player_and_cell(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["--nd", "1,2,5", "--nw", "1,2,5", "--preset", "costed"],
     ["--player", "dsrc", "--nd", "400", "--nw", "2"],  # the own (1-tau_d)^400 underflows above tau_d ~ 0.83
-], ids=["costed-catalog", "dsrc-400"])
+    ["--nd", "1", "--nw", "0", "--player", "dsrc", "--beta", "1e-17"],  # 1 + beta rounds to 1: the root is 1
+], ids=["costed-catalog", "dsrc-400", "tiny-beta"])
 def test_verify_prints_no_warning(argv):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -689,6 +692,40 @@ def test_verify_scans_a_lone_network_against_an_absent_opponent(capsys):
     _, rows = parse_csv(out)
     assert len(rows) == 9
     assert {(r["sign_changes"], r["pattern_ok"], r["alpha2_root"]) for r in rows} == {("1", "true", "0.0306386")}
+
+
+@pytest.mark.parametrize("beta", ["0.001", "0.5"])
+@pytest.mark.parametrize("n", [1, 2, 4, 10, 20, 40])
+@pytest.mark.parametrize("kind", [DSRC, WIFI])
+def test_lone_scan_changes_sign_once_between_the_scan_points_around_the_optimum(kind, n, beta, monkeypatch, capsys):
+    # optimum bisects the slope that verify scans: on a grid that clamps none of these roots, the scan's one sign
+    # change sits at tau*; at n = 1 the loss falls all the way, so the scan has none and tau* is grid.hi
+    code, out = run_cli(["optimum", "--kind", kind, "--n", str(n), "--beta", beta,
+                         "--grid-lo", "0.0001", "--grid-hi", "0.9999"], capsys)
+    assert code == 0
+    tau_star = float(parse_csv(out)[1][0]["tau_star"])
+    scans = []
+    real = analysis._payoff_slope
+
+    def recording(player, own, opp, config):
+        slope = real(player, own, opp, config)
+        scans.append((own.tau, slope[0]))
+        return slope
+
+    monkeypatch.setattr(analysis, "_payoff_slope", recording)
+    nd, nw = (str(n), "0") if kind == DSRC else ("0", str(n))
+    code, out = run_cli(["verify", "--player", kind, "--nd", nd, "--nw", nw, "--beta", beta, "--tau-opp", "0",
+                         "--scan-step", "1e-4"], capsys)
+    assert code == 0
+    (row,) = parse_csv(out)[1]
+    if n == 1:
+        assert (row["sign_changes"], row["pattern_ok"], tau_star) == ("0", "true", 0.9999)
+        return
+    assert (row["sign_changes"], row["pattern_ok"]) == ("1", "true")
+    ((pts, slope),) = scans
+    i = int(np.flatnonzero(slope < 0.0)[-1])  # the last negative scan point: the next one is positive
+    # tau* prints at 6 digits, which keeps its order against multiples of 1e-4 up to their own rounding
+    assert pts[i] - 1e-12 <= tau_star <= pts[i + 1] + 1e-12
 
 
 @pytest.mark.parametrize("kind, n, code, out", [

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from cells import cells_at, index_of
 from csma_game import game
-from csma_game.game import GridSpec, _cost_expr, build_surfaces, rescale_age, rescale_age_per_opponent
-from csma_game.metrics import _aoi_expr, _throughput_expr
+from csma_game.game import GridSpec, build_surfaces, rescale_age, rescale_age_per_opponent
+from csma_game.metrics import _aoi_expr, _cost_expr, _throughput_expr
 from csma_game.model import AccessVector, NetworkConfig, StrategyPair, _Axis
 
 
