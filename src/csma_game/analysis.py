@@ -135,7 +135,7 @@ def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, step: f
         tau = float(values[opp.q.argmin()])  # the first zero, as no q is negative
         raise FloatingPointError(f"(1-{tau})^{opp_n} underflows to 0, so the scanned slope's signs cannot be read")
     if n_ok < values.size:
-        raise ValueError("fixed opponent strategy must lie in [0, 1)")
+        raise ValueError(f"fixed opponent strategy must lie in [0, 1), got {values[n_ok]}")
     if not (0.0 < step < math.inf and 1.0 / step < math.inf):  # also rejects NaN, and a step too small to count
         raise ValueError(f"scan step must be positive and finite, got {step}")
     pts = step + step * np.arange(math.ceil(1.0 / step) - 1)
@@ -151,6 +151,6 @@ def verify_quasiconcavity(player: str, config: NetworkConfig, opponents, step: f
     changes, rows = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1).tolist(), list(signs)
     for r in np.flatnonzero(~(np.abs(totals) > 0.0).all(axis=1)):  # its exact zeros and NaN take no part
         rows[r] = s = signs[r][np.abs(totals[r]) > 0.0]
-        changes[r] = np.count_nonzero(s[1:] != s[:-1])
+        changes[r] = int(np.count_nonzero(s[1:] != s[:-1]))  # a Python int, as tolist() gives the others
     return tuple(QuasiConcavityReport(tau, n, n == 0 or (n == 1 and bool(s[0] < 0 < s[-1])), bound, root)
                  for tau, n, s, root in zip(values.tolist(), changes, rows, roots))

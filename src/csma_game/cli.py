@@ -45,30 +45,36 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# Built-in defaults, keyed like the config file: one file may serve several subcommands.
-_DEFAULTS = {
-    "nd": "1",
-    "nw": "1",
-    "beta": "0.001",
-    "w_idle": "0",
-    "w_col": "0",
-    "grid_lo": "0.01",
-    "grid_hi": "0.99",
-    "grid_step": "0.01",
-    "leader": "both",
-    "seed": "0",
-    "horizon": "1000000",
-    "warmup": None,
-    "format": "csv",
-    "out": None,
-    "tau_d": None,
-    "tau_w": None,
-    "kind": "both",
-    "n": "2",
-    "player": "both",
-    "tau_opp": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
-    "scan_step": "0.001",
-    "rescale": "range",
+# The players that --leader, --kind or --player names.
+_PLAYERS = {DSRC: (DSRC,), WIFI: (WIFI,), "both": (DSRC, WIFI)}
+# The rescale maps, looked up when called so that a wrapper set over a name here (a profiler's) sees the call.
+_RESCALES = {"range": lambda a, t: rescale_age(a, t), "per-opponent": lambda a, t: rescale_age_per_opponent(a, t)}
+
+# Each option's built-in default and parser, keyed like the config file: one file may serve several subcommands.
+# A parser is int, float or str, or a dict from each accepted string to the value it stands for.
+_OPTIONS = {
+    "nd": ("1", int),
+    "nw": ("1", int),
+    "beta": ("0.001", float),
+    "w_idle": ("0", float),
+    "w_col": ("0", float),
+    "grid_lo": ("0.01", float),
+    "grid_hi": ("0.99", float),
+    "grid_step": ("0.01", float),
+    "leader": ("both", _PLAYERS),
+    "seed": ("0", int),
+    "horizon": ("1000000", int),
+    "warmup": (None, int),
+    "format": ("csv", {"csv": "csv", "json": "json"}),
+    "out": (None, str),
+    "tau_d": (None, float),
+    "tau_w": (None, float),
+    "kind": ("both", _PLAYERS),
+    "n": ("2", int),
+    "player": ("both", _PLAYERS),
+    "tau_opp": ("0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", float),
+    "scan_step": ("0.001", float),
+    "rescale": ("range", _RESCALES),
 }
 
 # Each preset's weights (w_idle, w_col) from the resolved beta, which only the costed one reads.
@@ -93,18 +99,14 @@ def _parser(command: str | None) -> _Parser:
     return parser
 
 
-def _as_number(field, raw, kind):
+def _parse(field, raw, parser):
+    """``raw`` as ``parser`` reads it; an unaccepted string is a ConfigError naming the field."""
     try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        expected = "an integer" if kind is int else "a number"
+        return parser[raw] if isinstance(parser, dict) else parser(raw)
+    except (KeyError, ValueError):
+        expected = (f"one of {', '.join(parser)}" if isinstance(parser, dict)
+                    else "an integer" if parser is int else "a number")
         raise ConfigError(f"invalid value for {field}: {raw!r} (expected {expected})")
-
-
-def _as_choice(field, raw, choices):
-    if raw not in choices:
-        raise ConfigError(f"invalid value for {field}: {raw!r} (expected one of {', '.join(choices)})")
-    return raw
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -121,55 +123,46 @@ def _load_config_file(path: str) -> dict[str, str]:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         key = key.strip().replace("-", "_")
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = raw.strip()
     return values
 
 
 class _Options:
-    """Raw option strings, looked up in one ChainMap: flag > preset > file > default."""
+    """Each option's raw string, from flag > preset > file (one ChainMap) > the table's default, and its value."""
 
     def __init__(self, args: argparse.Namespace):
         flags = {k: v for k, v in vars(args).items() if v is not None and k not in ("command", "config", "preset")}
         file = _load_config_file(args.config) if args.config else {}
-        self._values = ChainMap(flags, {}, file, _DEFAULTS)  # maps[1] holds the preset's weights
+        self._values = ChainMap(flags, {}, file)  # maps[1] holds the preset's weights
         preset = getattr(args, "preset", None)
         if preset is not None:
-            weights = _PRESETS[_as_choice("preset", preset, _PRESETS)](self.number("beta"))
+            weights = _parse("preset", preset, _PRESETS)(self["beta"])
             self._values.maps[1].update(zip(("w_idle", "w_col"), weights))
 
     def raw(self, field):
-        return self._values[field]
+        return self._values.get(field, _OPTIONS[field][0])
 
-    def number(self, field, kind=float):
-        """The option as ``kind`` (int or float); an option whose default is None stays None."""
+    def __getitem__(self, field):
+        """The option as its parser reads it; an option whose default is None stays None."""
         raw = self.raw(field)
-        return None if raw is None else _as_number(field, raw, kind)
+        return None if raw is None else _parse(field, raw, _OPTIONS[field][1])
 
-    def numbers(self, field, kind=float):
-        return tuple(_as_number(field, part, kind) for part in str(self.raw(field)).split(","))
-
-    def choice(self, field, choices):
-        return _as_choice(field, self.raw(field), choices)
+    def list(self, field):
+        """A comma-list option: each of its values as the option's parser reads it."""
+        return tuple(_parse(field, part, _OPTIONS[field][1]) for part in self.raw(field).split(","))
 
 
 def _grid(opt: _Options) -> GridSpec:
-    return GridSpec(lo=opt.number("grid_lo"), hi=opt.number("grid_hi"), step=opt.number("grid_step"))
-
-
-def _players(opt: _Options, field: str) -> tuple[str, ...]:
-    """The players that ``--leader``, ``--kind`` or ``--player`` names: dsrc, wifi or both."""
-    player = opt.choice(field, (DSRC, WIFI, "both"))
-    return (DSRC, WIFI) if player == "both" else (player,)
+    return GridSpec(lo=opt["grid_lo"], hi=opt["grid_hi"], step=opt["grid_step"])
 
 
 def _games(opt: _Options, lists=("nd", "nw")) -> list[NetworkConfig]:
     """The invocation's distinct games, sorted: nd x nw x (w_idle, w_col) pairs. The fields in ``lists``
     take comma lists, the others one value."""
-    fields = {"nd": int, "nw": int, "beta": float, "w_idle": float, "w_col": float}
-    nd, nw, (beta,), w_idle, w_col = (opt.numbers(field, kind) if field in lists else (opt.number(field, kind),)
-                                      for field, kind in fields.items())
+    nd, nw, (beta,), w_idle, w_col = (opt.list(field) if field in lists else (opt[field],)
+                                      for field in ("nd", "nw", "beta", "w_idle", "w_col"))
     if len(w_idle) != len(w_col):
         raise ConfigError("w_idle and w_col must list the same number of values (weights are paired)")
     return [NetworkConfig(d, w, beta, *weights) for d, w, weights in sorted(set(product(nd, nw, zip(w_idle, w_col))))]
@@ -179,7 +172,7 @@ def _game_rows(opt: _Options, games: list[NetworkConfig], rows_of) -> list[tuple
     """Each game's rows ``rows_of(config, surfaces)``, in turn. A game's surfaces live only for its call,
     so none is alive while the next game's are built."""
     grid = _grid(opt)
-    rescale = rescale_age if opt.choice("rescale", ("range", "per-opponent")) == "range" else rescale_age_per_opponent
+    rescale = opt["rescale"]
     return [row for config in games for row in rows_of(config, build_surfaces(config, grid, rescale=rescale))]
 
 
@@ -200,7 +193,7 @@ def _run_nash(opt: _Options, sweep: bool = False):
 
 
 def _run_stackelberg(opt: _Options):
-    leaders = _players(opt, "leader")
+    leaders = opt["leader"]
 
     def rows_of(config, surfaces):
         results = [(lead, solve_stackelberg(lead, surfaces)) for lead in leaders]
@@ -213,24 +206,24 @@ def _run_stackelberg(opt: _Options):
 
 
 def _run_optimum(opt: _Options):
-    kinds = _players(opt, "kind")
-    lo, hi = opt.number("grid_lo"), opt.number("grid_hi")  # the optimum reads only the bounds
+    kinds = opt["kind"]
+    lo, hi = opt["grid_lo"], opt["grid_hi"]  # the optimum reads only the bounds
     grid = GridSpec(lo=lo, hi=hi, step=hi - lo or 1.0)  # one step, any when lo == hi: GridSpec checks the bounds
-    beta = opt.number("beta")
+    beta = opt["beta"]
     rows = []
-    for k, n in product(kinds, sorted(set(opt.numbers("n", int)))):
+    for k, n in product(kinds, sorted(set(opt.list("n")))):
         res = single_network_optimum(k, n, beta, grid=grid)
         rows.append((k, n, res.tau_star, res.value))
     return ["kind", "n", "tau_star", "value"], rows
 
 
 def _run_metrics(opt: _Options):
-    tau_d = opt.number("tau_d")
-    tau_w = opt.number("tau_w")
+    tau_d = opt["tau_d"]
+    tau_w = opt["tau_w"]
     if (tau_d is None) == (tau_w is None):
         raise ConfigError("metrics needs exactly one fixed strategy: give --tau-d or --tau-w")
     StrategyPair(tau_d=tau_d or 0.0, tau_w=tau_w or 0.0)  # rejects a fixed strategy outside [0, 1)
-    config = NetworkConfig(opt.number("nd", int), opt.number("nw", int), opt.number("beta"))
+    config = NetworkConfig(opt["nd"], opt["nw"], opt["beta"])
     pts = _grid(opt).points()
     if tau_w is not None:
         td, tw = pts, np.full_like(pts, tau_w)
@@ -251,10 +244,10 @@ def _run_metrics(opt: _Options):
 
 
 def _run_verify(opt: _Options):
-    players = _players(opt, "player")
-    step = opt.number("scan_step")
+    players = opt["player"]
+    step = opt["scan_step"]
     games = _games(opt)
-    taus = opt.numbers("tau_opp")
+    taus = opt.list("tau_opp")
     rows = []
     for ply, config in product(players, games):  # one scan per player and cell, over every opponent value
         for tau, rep in zip(taus, verify_quasiconcavity(ply, config, taus, step)):
@@ -266,17 +259,18 @@ def _run_verify(opt: _Options):
 
 
 def _run_simulate(opt: _Options):
-    config = NetworkConfig(opt.number("nd", int), opt.number("nw", int), opt.number("beta"))
-    pair = StrategyPair(tau_d=opt.number("tau_d") or 0.0, tau_w=opt.number("tau_w") or 0.0)
+    config = NetworkConfig(opt["nd"], opt["nw"], opt["beta"])
+    pair = StrategyPair(tau_d=opt["tau_d"] or 0.0, tau_w=opt["tau_w"] or 0.0)
     vector = AccessVector.homogeneous(config, pair)
     sim = SimConfig(
-        horizon_slots=opt.number("horizon", int),
-        seed=opt.number("seed", int),
-        warmup_slots=opt.number("warmup", int),
+        horizon_slots=opt["horizon"],
+        seed=opt["seed"],
+        warmup_slots=opt["warmup"],
     )
     lengths = config.slot_lengths()
     res = run_simulation(vector, lengths, sim)
     fractions = tuple(res.slot_fractions())
+    counts = res.update_counts.tolist()  # plain ints, as the renderer takes
     rows = []
     for i, (tau, tag) in enumerate(zip(vector.taus, vector.tags)):
         age = ez = ez2 = None  # a node that never sends has no age or inter-update time
@@ -289,7 +283,7 @@ def _run_simulate(opt: _Options):
             res.throughput[i], res.throughput_se[i], per_node_throughput(vector, lengths, i),
             res.inter_update_mean[i], res.inter_update_mean_se[i], ez,
             res.inter_update_sq_mean[i], res.inter_update_sq_mean_se[i], ez2,
-            res.update_counts[i],
+            counts[i],
         ) + fractions)
     header = ["node", "network", "tau",
               "age_sim", "age_se", "age_analytic",
@@ -328,8 +322,6 @@ def _cell(value, as_text: bool):
         return "" if as_text else None
     if isinstance(value, bool):
         return ("true" if value else "false") if as_text else value
-    if isinstance(value, (int, np.integer)):
-        value = int(value)
     return str(value) if as_text else value
 
 
@@ -346,8 +338,8 @@ def main(argv=None) -> int:
     try:
         args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         opt = _Options(args)
-        fmt = opt.choice("format", ("csv", "json"))
-        out = opt.raw("out")
+        fmt = opt["format"]
+        out = opt["out"]
         header, rows = _COMMANDS[args.command][0](opt)
         text = _render(header, rows, fmt)
     except (ConfigError, ValueError) as exc:

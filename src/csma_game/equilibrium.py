@@ -126,6 +126,8 @@ def single_network_optimum(
     of [0, min(grid.hi, 1/n)] on plain floats keeps the root's upper bound until the bracket is ``_NEWTON_TOL`` wide
     or lies below grid.lo. There (1-tau)^n >= 1/4 and tau > 5e-13, so no factor of a slope underflows. ``value`` is
     the closed form at tau*; FloatingPointError when it is not finite and positive, as when (1-tau)^n underflows.
+    At n = 1 with a beta so small that 1 + beta rounds to 1 (about 1e-16), the slope loses beta and tau* can be
+    grid.lo where the loss falls all the way to grid.hi; ``value`` is still right, as the loss is flat to rounding.
     """
     _require_player(kind)
     if n < 1:

@@ -75,12 +75,12 @@ class NetworkConfig:
         except TypeError:
             raise ValueError(f"node counts must be integers, got {self.n_dsrc!r} and {self.n_wifi!r}") from None
         if self.n_dsrc < 0 or self.n_wifi < 0:
-            raise ValueError("node counts must be non-negative")
+            raise ValueError(f"node counts must be non-negative, got {self.n_dsrc} and {self.n_wifi}")
         if self.n_dsrc + self.n_wifi < 1:
             raise ValueError("need at least one node across both networks")
         self.slot_lengths()  # rejects beta outside (0, 1)
         if not all(0.0 <= w < math.inf for w in (self.w_idle, self.w_col)):  # also rejects NaN
-            raise ValueError("cost weights must be finite and non-negative")
+            raise ValueError(f"cost weights must be finite and non-negative, got {self.w_idle} and {self.w_col}")
 
     def slot_lengths(self) -> SlotLengths:
         return SlotLengths.from_beta(self.beta)

@@ -15,6 +15,7 @@ from csma_game import analysis, cli
 from csma_game.cli import main
 from csma_game.metrics import aoi_node, inter_update_moments, per_node_throughput
 from csma_game.model import DSRC, WIFI, AccessVector, NetworkConfig, StrategyPair
+from test_catalog import load_script
 
 COMMANDS = ("metrics", "nash", "sweep", "stackelberg", "optimum", "verify", "simulate")
 TESTS_DIR = str(Path(__file__).resolve().parent)
@@ -72,12 +73,46 @@ def test_metrics_requires_exactly_one_fixed_strategy(capsys):
     assert code == 1
 
 
-def test_json_round_trip(tmp_path):
-    out_path = tmp_path / "nash.json"
-    assert main(["nash", "--nd", "2", "--nw", "2", "--format", "json", "--out", str(out_path)]) == 0
-    records = json.loads(out_path.read_text())
-    assert records[0]["tau_d"] == 0.46
-    assert json.loads(json.dumps(records)) == records
+def strict_json(text):
+    """JSON without the NaN and Infinity extensions that Python's parser accepts by default."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def csv_text(value):
+    """A JSON value as its CSV cell: null is empty, booleans are lower case, numbers have 6 digits."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
+JSON_RUNS = {
+    "nash": ["nash", "--nd", "2", "--nw", "2"],
+    **{name.removesuffix(".csv"): argv for name, argv in load_script().RUNS.items()},
+    "verify": ["verify", "--nd", "2", "--nw", "2", "--tau-opp", "0.3"],  # booleans, and no landmarks for wifi rows
+    # a lone WiFi node's slope is 0 at every scan point when 1 + beta rounds to 1
+    "verify-flat": ["verify", "--nd", "0", "--nw", "1", "--player", "wifi", "--beta", "1e-17", "--tau-opp", "0.5"],
+    # the silent DSRC node has no age or moments
+    "simulate-silent": ["simulate", "--nd", "1", "--nw", "1", "--tau-d", "0", "--tau-w", "0.3", "--horizon", "20000"],
+}
+
+
+@pytest.mark.parametrize("argv", JSON_RUNS.values(), ids=JSON_RUNS)
+def test_json_round_trip(argv, capsys):
+    code, csv_out = run_cli(argv, capsys)
+    assert code == 0
+    code, json_out = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    records = strict_json(json_out)
+    header, rows = parse_csv(csv_out)
+    assert len(records) == len(rows) > 0
+    for record, row in zip(records, rows):
+        assert list(record) == header
+        assert {key: csv_text(value) for key, value in record.items()} == row
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -138,6 +173,16 @@ def test_a_repeated_game_is_built_and_printed_once(argv, games, n_rows, monkeypa
     rows = out.splitlines()[1:]
     assert len(rows) == len(set(rows)) == n_rows
     assert len(built) == len(set(built)) == games
+
+
+@pytest.mark.parametrize("rescale, name", [("range", "rescale_age"), ("per-opponent", "rescale_age_per_opponent")])
+def test_each_rescale_map_is_looked_up_when_called(rescale, name, monkeypatch, capsys):
+    # a profiler wraps a map by setting its name in cli, and the game must call that wrapper
+    calls = []
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or real(*args))
+    code, _ = run_cli(["nash", "--nd", "2", "--nw", "2", "--rescale", rescale], capsys)
+    assert code == 0 and len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -286,7 +331,7 @@ def test_config_keys_a_subcommand_does_not_read_are_ignored(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("nd = 1\nnw = 1\nw_idle = nan\nleader = dsrc\ngrid_lo = 0.1\ngrid_hi = 0.9\ngrid_step = 0.1\n")
     assert main(["nash", "--config", str(conf)]) == 1  # nash reads the weights
-    assert capsys.readouterr().err == "error: cost weights must be finite and non-negative\n"
+    assert capsys.readouterr().err == "error: cost weights must be finite and non-negative, got nan and 0.0\n"
     code, out = run_cli(["metrics", "--config", str(conf), "--tau-w", "0.2"], capsys)
     assert code == 0 and len(parse_csv(out)[1]) == 9
     code, out = run_cli(["simulate", "--config", str(conf), "--tau-d", "0.3", "--tau-w", "0.2", "--horizon", "2000"],
@@ -294,20 +339,13 @@ def test_config_keys_a_subcommand_does_not_read_are_ignored(tmp_path, capsys):
     assert code == 0 and len(parse_csv(out)[1]) == 2
 
 
-def test_invalid_flag_value_names_the_field(tmp_path, capsys):
-    code = main(["nash", "--nd", "two"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "nd" in err
-
-
 def test_out_of_range_beta_is_config_error(capsys):
     assert main(["nash", "--beta", "2.0"]) == 1
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["nash", "--w-idle", "nan"], "error: cost weights must be finite and non-negative"),
-    (["nash", "--w-col", "inf"], "error: cost weights must be finite and non-negative"),
+    (["nash", "--w-idle", "nan"], "error: cost weights must be finite and non-negative, got nan and 0.0"),
+    (["nash", "--w-col", "inf"], "error: cost weights must be finite and non-negative, got 0.0 and inf"),
     (["nash", "--format", "xml"], "error: invalid value for format: 'xml' (expected one of csv, json)"),
     (["nash", "--config", TESTS_DIR],
      f"error: cannot read config file {TESTS_DIR}: [Errno 21] Is a directory: '{TESTS_DIR}'"),
@@ -551,6 +589,41 @@ def test_each_subcommand_declares_exactly_the_options_it_reads(command, monkeypa
     assert ("preset" in flags) == ("w_idle" in flags)  # the preset sets the weights
 
 
+def invalid_value_cases():
+    """For each option that not every string satisfies: a valid invocation of the first subcommand reading it, with
+    'x' given for it, and the error line naming it."""
+    for field, (_, parser) in cli._OPTIONS.items():
+        if parser is str:  # a path: any string is one
+            continue
+        command = next(command for command, (_, flags) in cli._COMMANDS.items() if field in flags)
+        expected = ("one of " + ", ".join(parser) if isinstance(parser, dict)
+                    else "an integer" if parser is int else "a number")
+        yield pytest.param(VALID[command] + ["--" + field.replace("_", "-"), "x"],
+                           f"invalid value for {field}: 'x' (expected {expected})", id=field)
+
+
+@pytest.mark.parametrize("argv, message", [
+    *invalid_value_cases(),
+    pytest.param(["sweep", "--nd", "1,two"], "invalid value for nd: 'two' (expected an integer)", id="list-element"),
+    pytest.param(VALID["nash"] + ["--preset", "free"],
+                 "invalid value for preset: 'free' (expected one of nocost, costed, nudge150, nudge400)", id="preset"),
+])
+def test_invalid_flag_value_names_the_field(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_invalid_config_file_value_names_the_field(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("seed = 1.5\n")
+    assert main(SIMULATE + ["--config", str(conf)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid value for seed: '1.5' (expected an integer)\n"
+
+
 def test_readme_lists_each_subcommands_flags():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = {}
@@ -631,7 +704,7 @@ def test_catalog_verify_output_is_the_oracles(preset, weights, fmt, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("player, tau_opp, code, message", [
     ("dsrc", "0.5,0.9,1.0", 2, "error: (1-0.9)^400 underflows to 0"),
-    ("dsrc", "1.0,0.9", 1, "error: fixed opponent strategy must lie in [0, 1)"),
+    ("dsrc", "1.0,0.9", 1, "error: fixed opponent strategy must lie in [0, 1), got 1.0"),
     ("wifi", "0.9", 2, "error: (1-0.9)^400 underflows to 0"),
 ], ids=["underflow-first", "range-first", "wifi-underflow"])
 def test_verify_reports_the_first_bad_opponent_value(player, tau_opp, code, message, capsys):

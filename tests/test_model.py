@@ -162,11 +162,11 @@ class TestDomainTypes:
     def test_network_config_validation(self):
         with pytest.raises(ValueError):
             NetworkConfig(n_dsrc=0, n_wifi=0, beta=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="node counts must be non-negative, got -1 and 2$"):
             NetworkConfig(n_dsrc=-1, n_wifi=2, beta=0.1)
         with pytest.raises(ValueError):
             NetworkConfig(n_dsrc=1, n_wifi=1, beta=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"cost weights must be finite and non-negative, got -0\.1 and 0\.0$"):
             NetworkConfig(n_dsrc=1, n_wifi=1, beta=0.1, w_idle=-0.1)
         # a count that is not an integer would become a fractional exponent
         for counts in ((1.5, 2), (2, 2.0)):

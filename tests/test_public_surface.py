@@ -24,8 +24,10 @@ REMOVED = {
         "alpha2_root",
         "tau_prime_upper_bound",
     ),
-    # One game loop serves every game subcommand, and simulate reads the public per-node functions.
-    cli: ("_network", "_rescale_fn", "_nash_rows", "_age_and_moments"),
+    # One game loop serves every game subcommand, and simulate reads the public per-node functions;
+    # one option table gives each option's default and parser.
+    cli: ("_network", "_rescale_fn", "_nash_rows", "_age_and_moments", "_DEFAULTS", "_as_number", "_as_choice",
+          "_players"),
 }
 REMOVED_ATTRIBUTES = {
     model.NetworkConfig: ("n_total",),
@@ -37,6 +39,8 @@ REMOVED_ATTRIBUTES = {
     # Members that only tests called; the tests' own versions are in tests/cells.py.
     game.GridSpec: ("index_of",),
     simulate.SimResult: ("slot_fraction_se",),
+    # Typed readers: each option's parser is in the option table.
+    cli._Options: ("number", "numbers", "choice"),
 }
 # The scan's report holds its results only, not its inputs echoed back.
 REPORT_FIELDS = ("fixed_opponent", "sign_change_count", "sign_pattern_ok", "tau_prime_bound", "alpha2_root")
